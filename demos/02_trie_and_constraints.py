@@ -12,7 +12,7 @@ from docidlm import (
     allowed_continuations, allowed_mask, build_trie, build_vocabulary,
     encode, ingest_corpus, scan_state, step_state,
 )
-from docidlm.constraints import UNCONSTRAINED, DecodePhase
+from docidlm.constraints import UNCONSTRAINED, GrammarState, Phase, step
 from docidlm.trie import ExclusionSet, exclude
 
 DATA = Path(__file__).parent / "data"
@@ -60,6 +60,11 @@ for token in histories["after a closed span"]:
 assert state == scan_state(histories["after a closed span"])
 print("\nfolding step_state over the history agrees with the scan")
 
-mask = allowed_mask(UNCONSTRAINED, trie, ExclusionSet(trie),
-                    DecodePhase.DOCID_LIST, vocab.size)
-print(f"list-phase mask outside a span: {sorted(vocab.surface(t) for t in mask)}")
+# the output-grammar automaton turns that state into the legal token ids
+state = GrammarState(Phase.LIST)
+mask = allowed_mask(state, trie, ExclusionSet(trie), vocab.size)
+print(f"list-phase mask outside a span: {[vocab.surface(t) for t in mask]}")
+for token in [DOCID_OPEN] + encode(vocab, "mars #"):
+    state = step(state, token)
+mask = allowed_mask(state, trie, ExclusionSet(trie), vocab.size)
+print(f"mask inside the span 'mars #': {[vocab.surface(t) for t in mask]}")

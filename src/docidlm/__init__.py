@@ -10,10 +10,13 @@ same slot.
 
 from .constraints import (
     ConstraintState,
-    DecodePhase,
+    GrammarState,
     MalformedSequenceError,
+    Phase,
+    Plan,
     allowed_mask,
     scan_state,
+    step,
     step_state,
 )
 from .corpus import (

@@ -268,14 +268,7 @@ def cmd_eval(config: RunConfig) -> None:
     golds = load_gold(config.gold)
     predictions = read_jsonl_records(config.predictions)
     report = metrics.evaluate_run(predictions, golds, metrics.TaskCategory(config.category))
-    payload = {"config": config.as_dict(), **report.as_dict()}
-    with open(config.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if config.per_query_out:
-        with open(config.per_query_out, "w", encoding="utf-8") as fh:
-            for row in report.per_query:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+    metrics.write_report(report, config.out, config.per_query_out or None, config=config.as_dict())
     for warning in report.warnings:
         logger.warning("%s", warning)
 

@@ -1,15 +1,16 @@
 """Greedy constrained generation for ranked DocID lists, closed-book answers,
 and the continuous DocIDs-References-Answer pipeline.
 
-A retrieval decode starts from the task-prefixed query and alternates between
-two regimes: outside a DocID span only opening a new span or stopping is
-legal; inside a span the trie dictates the continuations, and every completed
-DocID joins the session exclusion set so the list can never repeat. The RAG
-decode keeps going in the same session: the retrieved documents are appended
-to the context, one reference segment is decoded per context document, and
-the answer follows, so the query is processed exactly once. A pipeline
-variant rebuilds the context between retrieval and reading, which is what the
-per-query cost counters are there to compare.
+Every decode is one greedy loop over the output-grammar automaton of
+:mod:`docidlm.constraints`. A retrieval decode starts from the task-prefixed
+query in the list phase: outside a DocID span only opening a new span or
+stopping is legal; inside a span the trie dictates the continuations, and
+every completed DocID joins the session exclusion set so the list can never
+repeat. The RAG decode keeps going in the same session: the retrieved
+documents are appended to the context, one reference segment is decoded per
+context document, and the answer follows, so the query is processed exactly
+once. A pipeline variant rebuilds the context between retrieval and reading,
+which is what the per-query cost counters are there to compare.
 
 Ties in the greedy argmax always break toward the lowest token id, which
 makes every decode reproducible.
@@ -22,23 +23,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constraints import UNCONSTRAINED as UNCONSTRAINED_STATE
-from .constraints import DecodePhase, allowed_mask, step_state
+from .constraints import SILENT_STOP, GrammarError, GrammarState, Phase, Plan, allowed_mask, step
 from .corpus import Corpus, Document
 from .lm import LmScorer
-from .tokens import (
-    ANSWER_OPEN,
-    DOCID_CLOSE,
-    DOCID_OPEN,
-    EOS,
-    REF_CLOSE,
-    REF_OPEN,
-    SPECIAL_IDS,
-    UNK,
-    Vocabulary,
-    decode,
-    encode,
-)
+from .tokens import ANSWER_OPEN, DOCID_CLOSE, DOCID_OPEN, EOS, Vocabulary, decode, encode
 from .trie import DocIdTrie, ExclusionSet
 
 RETRIEVE_PREFIX = "retrieve:"
@@ -51,16 +39,9 @@ DEFAULT_DOC_BUDGET = 256
 MAX_REF_TOKENS = 64
 MAX_ANSWER_TOKENS = 64
 
-# Structural symbols never legal as free text; UNK stays legal outside spans.
-_STRUCTURAL = frozenset(SPECIAL_IDS) - {UNK}
-
 
 class DecodeError(RuntimeError):
     """Decoding could not proceed (empty trie, bad arguments)."""
-
-
-class GrammarError(ValueError):
-    """A token trace does not parse under the output grammar."""
 
 
 @dataclass
@@ -113,70 +94,54 @@ def _logsumexp(values: np.ndarray) -> float:
 
 
 class _Session:
-    """One decoding context plus the shared cost meter."""
+    """One decode: scorer context, token trace, DocID exclusions and cost meter."""
 
-    def __init__(self, lm: LmScorer, cost: DecodeCost):
+    def __init__(self, lm: LmScorer, trie: DocIdTrie, prompt: Sequence[int]):
         self.lm = lm
-        self.cost = cost
+        self.trie = trie
+        self.excl = ExclusionSet(trie)
+        self.cost = DecodeCost()
         self.context: list[int] = []
+        self.trace: list[int] = []
+        self.docids: list[str] = []
+        self.scores: list[float] = []
+        self.ingest(prompt)
 
     def ingest(self, tokens: Sequence[int]) -> None:
         self.context.extend(tokens)
         self.cost.context_tokens += len(tokens)
 
-    def choose(self, allowed: set[int]) -> tuple[int, float]:
+    def choose(self, allowed: np.ndarray) -> tuple[int, float]:
         """Greedy pick over the mask; returns (token, mask-renormalized logprob)."""
         vector = self.lm.next_logprobs(self.context)
         self.cost.scorer_calls += 1
-        ids = np.fromiter(sorted(allowed), dtype=np.int64, count=len(allowed))
-        values = vector[ids]
+        values = vector[allowed]
         best = int(np.argmax(values))  # first maximum, ids ascending: lowest-id tie-break
-        return int(ids[best]), float(values[best] - _logsumexp(values))
+        return int(allowed[best]), float(values[best] - _logsumexp(values))
 
-    def emit(self, token: int) -> None:
-        self.ingest([token])
-
-
-def _free_text_ids(vocab_size: int) -> set[int]:
-    return set(range(vocab_size)) - _STRUCTURAL
-
-
-def _decode_docid_segments(
-    session: _Session,
-    trie: DocIdTrie,
-    excl: ExclusionSet,
-    k: int,
-    trace: list[int],
-) -> RankedDocIds:
-    vocab_size = session.lm.vocab.size
-    docids: list[str] = []
-    scores: list[float] = []
-    state = UNCONSTRAINED_STATE
-    while len(docids) < k:
-        mask = allowed_mask(state, trie, excl, DecodePhase.DOCID_LIST, vocab_size)
-        token, _ = session.choose(mask)
-        if token == EOS:
-            break  # list ends; the stop decision is control flow, not trace content
-        session.emit(token)
-        trace.append(token)
-        state = step_state(state, token)
+    def run(self, state: GrammarState, until: Phase) -> GrammarState:
+        """Decode greedily from ``state`` until the automaton reaches ``until``."""
+        vocab_size = self.lm.vocab.size
         span_logprob = 0.0
-        while True:
-            mask = allowed_mask(state, trie, excl, DecodePhase.DOCID_LIST, vocab_size)
-            token, logprob = session.choose(mask)
-            session.emit(token)
-            trace.append(token)
-            if token == DOCID_CLOSE:
-                completed = trie.node_at(state.inner_prefix).terminal_docid
-                assert completed is not None
-                docids.append(completed)
-                scores.append(span_logprob)
-                excl.add(completed)
-                state = step_state(state, token)
-                break
-            state = step_state(state, token)
-            span_logprob += logprob
-    return RankedDocIds(tuple(docids), tuple(scores))
+        while state.phase is not until:
+            token, logprob = self.choose(allowed_mask(state, self.trie, self.excl, vocab_size))
+            if state.phase is Phase.DOCID:
+                if token == DOCID_CLOSE:
+                    completed = self.trie.node_at(state.span.inner_prefix).terminal_docid
+                    self.excl.add(completed)
+                    self.docids.append(completed)
+                    self.scores.append(span_logprob)
+                    span_logprob = 0.0
+                else:
+                    span_logprob += logprob
+            if token != EOS or state.phase not in SILENT_STOP:
+                self.ingest([token])
+                self.trace.append(token)
+            state = step(state, token)
+        return state
+
+    def ranked(self) -> RankedDocIds:
+        return RankedDocIds(tuple(self.docids), tuple(self.scores))
 
 
 def generate_docid_list(lm: LmScorer, trie: DocIdTrie, query: str, k: int) -> RankedDocIds:
@@ -185,11 +150,9 @@ def generate_docid_list(lm: LmScorer, trie: DocIdTrie, query: str, k: int) -> Ra
         raise DecodeError("k must be >= 1")
     if len(trie) == 0:
         raise DecodeError("cannot decode DocIDs over an empty trie")
-    cost = DecodeCost()
-    session = _Session(lm, cost)
-    session.ingest(encode(lm.vocab, f"{RETRIEVE_PREFIX} {query}"))
-    trace: list[int] = []
-    return _decode_docid_segments(session, trie, ExclusionSet(trie), k, trace)
+    session = _Session(lm, trie, encode(lm.vocab, f"{RETRIEVE_PREFIX} {query}"))
+    session.run(GrammarState(Phase.LIST, Plan(docids=k)), Phase.REFS)
+    return session.ranked()
 
 
 def generate_closed_book(lm: LmScorer, query: str, max_tokens: int) -> str:
@@ -201,18 +164,9 @@ def generate_closed_book(lm: LmScorer, query: str, max_tokens: int) -> str:
     """
     if max_tokens < 1:
         raise DecodeError("max_tokens must be >= 1")
-    vocab = lm.vocab
-    session = _Session(lm, DecodeCost())
-    session.ingest(encode(vocab, f"{ANSWER_PREFIX} {query}"))
-    allowed = (set(range(vocab.size)) - {DOCID_OPEN, DOCID_CLOSE, REF_OPEN, REF_CLOSE})
-    generated: list[int] = []
-    for _ in range(max_tokens):
-        token, _ = session.choose(allowed)
-        if token == EOS:
-            break
-        session.emit(token)
-        generated.append(token)
-    return decode(vocab, [t for t in generated if t not in _STRUCTURAL])
+    session = _Session(lm, DocIdTrie(), encode(lm.vocab, f"{ANSWER_PREFIX} {query}"))
+    session.run(GrammarState(Phase.CLOSED_BOOK, Plan(answer_tokens=max_tokens)), Phase.DONE)
+    return decode(lm.vocab, [t for t in session.trace if t != ANSWER_OPEN])
 
 
 def render_document_tokens(vocab: Vocabulary, doc: Document, budget: int) -> list[int]:
@@ -227,69 +181,42 @@ def render_document_tokens(vocab: Vocabulary, doc: Document, budget: int) -> lis
     return rendered[: max(0, budget)]
 
 
-def _decode_ref_segment(session: _Session, trace: list[int], cap: int) -> list[int]:
-    free = _free_text_ids(session.lm.vocab.size)
-    session.choose({REF_OPEN})
-    session.emit(REF_OPEN)
-    trace.append(REF_OPEN)
-    inner: list[int] = []
-    while True:
-        allowed = {REF_CLOSE} if len(inner) >= cap else free | {REF_CLOSE}
-        token, _ = session.choose(allowed)
-        session.emit(token)
-        trace.append(token)
-        if token == REF_CLOSE:
-            return inner
-        inner.append(token)
-
-
-def _decode_answer_segment(session: _Session, trace: list[int], cap: int) -> list[int]:
-    free = _free_text_ids(session.lm.vocab.size)
-    session.choose({ANSWER_OPEN})
-    session.emit(ANSWER_OPEN)
-    trace.append(ANSWER_OPEN)
-    inner: list[int] = []
-    while True:
-        allowed = {EOS} if len(inner) >= cap else free | {EOS}
-        token, _ = session.choose(allowed)
-        session.emit(token)
-        trace.append(token)
-        if token == EOS:
-            return inner
-        inner.append(token)
-
-
-def _finish_rag(
-    session: _Session,
+def _generate_rag(
+    lm: LmScorer,
+    trie: DocIdTrie,
     corpus: Corpus,
-    ranked: RankedDocIds,
-    context_docids: tuple[str, ...],
-    trace: list[int],
-    cost: DecodeCost,
+    query: str,
+    k_retrieve: int,
+    k_context: int,
     budget: int,
     max_ref_tokens: int,
     max_answer_tokens: int,
-    inject_documents: bool,
+    rebuild_context: bool,
 ) -> RagResult:
-    vocab = session.lm.vocab
-    fallback = not context_docids
-    references: list[str] = []
-    if not fallback:
-        if inject_documents:
-            for doc_id in context_docids:
-                session.ingest(render_document_tokens(vocab, corpus.get(doc_id), budget))
-        for _ in context_docids:
-            ref_tokens = _decode_ref_segment(session, trace, max_ref_tokens)
-            references.append(decode(vocab, ref_tokens))
-    answer_tokens = _decode_answer_segment(session, trace, max_answer_tokens)
+    if not k_retrieve >= k_context >= 1:
+        raise DecodeError("need k_retrieve >= k_context >= 1")
+    if len(trie) == 0:
+        raise DecodeError("cannot decode DocIDs over an empty trie")
+    prompt = encode(lm.vocab, f"{RAG_PREFIX} {query}")
+    session = _Session(lm, trie, prompt)
+    plan = Plan(k_retrieve, k_context, max_ref_tokens, max_answer_tokens)
+    state = session.run(GrammarState(Phase.LIST, plan), Phase.REFS)
+    context_docids = tuple(session.docids[:k_context])
+    if rebuild_context and context_docids:
+        session.context = []
+        session.ingest(prompt)
+    for doc_id in context_docids:
+        session.ingest(render_document_tokens(lm.vocab, corpus.get(doc_id), budget))
+    session.run(state, Phase.DONE)
+    parsed = parse_rag_trace(session.trace)
     return RagResult(
-        docids=ranked,
+        docids=session.ranked(),
         context_docids=context_docids,
-        references=tuple(references),
-        answer=decode(vocab, answer_tokens),
-        token_trace=tuple(trace),
-        decode_cost=cost,
-        closed_book_fallback=fallback,
+        references=tuple(decode(lm.vocab, span) for span in parsed.reference_spans),
+        answer=decode(lm.vocab, parsed.answer_tokens),
+        token_trace=tuple(session.trace),
+        decode_cost=session.cost,
+        closed_book_fallback=not context_docids,
     )
 
 
@@ -311,17 +238,8 @@ def generate_rag(
     document; stage 3 decodes the answer. The query is never re-processed.
     An empty retrieval is flagged and decoding proceeds closed-book style.
     """
-    _check_rag_args(k_retrieve, k_context, trie)
-    cost = DecodeCost()
-    session = _Session(lm, cost)
-    session.ingest(encode(lm.vocab, f"{RAG_PREFIX} {query}"))
-    trace: list[int] = []
-    ranked = _decode_docid_segments(session, trie, ExclusionSet(trie), k_retrieve, trace)
-    context_docids = ranked.docids[:k_context]
-    return _finish_rag(
-        session, corpus, ranked, context_docids, trace, cost,
-        budget, max_ref_tokens, max_answer_tokens, inject_documents=True,
-    )
+    return _generate_rag(lm, trie, corpus, query, k_retrieve, k_context, budget,
+                         max_ref_tokens, max_answer_tokens, rebuild_context=False)
 
 
 def generate_rag_pipeline(
@@ -337,51 +255,26 @@ def generate_rag_pipeline(
 ) -> RagResult:
     """Two-pass baseline: retrieval, then a fresh reading context.
 
-    Stage 1 matches :func:`generate_rag`. Stages 2 and 3 run in a new session
-    whose context is rebuilt as query plus documents, so the query tokens are
-    processed twice; the cost meter records the difference. With an empty
-    retrieval there is nothing to rebuild and the continuous path is taken.
+    Stage 1 matches :func:`generate_rag`. Stages 2 and 3 run on a context
+    rebuilt as query plus documents, so the query tokens are processed twice;
+    the cost meter records the difference. With an empty retrieval there is
+    nothing to rebuild and the continuous path is taken.
     """
-    _check_rag_args(k_retrieve, k_context, trie)
-    cost = DecodeCost()
-    session = _Session(lm, cost)
-    prompt = encode(lm.vocab, f"{RAG_PREFIX} {query}")
-    session.ingest(prompt)
-    trace: list[int] = []
-    ranked = _decode_docid_segments(session, trie, ExclusionSet(trie), k_retrieve, trace)
-    context_docids = ranked.docids[:k_context]
-    if context_docids:
-        session = _Session(lm, cost)
-        session.ingest(prompt)
-        for doc_id in context_docids:
-            session.ingest(render_document_tokens(lm.vocab, corpus.get(doc_id), budget))
-        inject = False
-    else:
-        inject = True  # nothing retrieved: identical to the continuous path
-    return _finish_rag(
-        session, corpus, ranked, context_docids, trace, cost,
-        budget, max_ref_tokens, max_answer_tokens, inject_documents=inject,
-    )
-
-
-def _check_rag_args(k_retrieve: int, k_context: int, trie: DocIdTrie) -> None:
-    if not k_retrieve >= k_context >= 1:
-        raise DecodeError("need k_retrieve >= k_context >= 1")
-    if len(trie) == 0:
-        raise DecodeError("cannot decode DocIDs over an empty trie")
+    return _generate_rag(lm, trie, corpus, query, k_retrieve, k_context, budget,
+                         max_ref_tokens, max_answer_tokens, rebuild_context=True)
 
 
 def score_sequence(
     lm: LmScorer,
     context: Sequence[int],
     target: Sequence[int],
-    mask_provider: Callable[[list[int]], set[int] | None] | None = None,
+    mask_provider: Callable[[list[int]], np.ndarray | None] | None = None,
 ) -> float:
     """Teacher-forced log-probability of ``target`` after ``context``.
 
-    When ``mask_provider`` returns an allowed set for a position, the token's
-    log-probability is renormalized over that set, matching what a masked
-    greedy decode reports.
+    When ``mask_provider`` returns an ascending id array for a position, the
+    token's log-probability is renormalized over those ids, matching what a
+    masked greedy decode reports.
     """
     if len(target) == 0:
         raise ValueError("target must be non-empty")
@@ -398,8 +291,7 @@ def score_sequence(
             if allowed is not None:
                 if token not in allowed:
                     raise ValueError(f"target token {token} not in the provided mask")
-                ids = np.fromiter(sorted(allowed), dtype=np.int64, count=len(allowed))
-                logprob = float(vector[token]) - _logsumexp(vector[ids])
+                logprob = float(vector[token]) - _logsumexp(vector[allowed])
         total += logprob
         prefix.append(token)
     return total
@@ -410,53 +302,30 @@ def parse_rag_trace(trace: Sequence[int]) -> ParsedTrace:
 
     Grammar: ``(<docid> w+ </docid>)* (<ref> w* </ref>)* <answer> w* EOS``
     where DocID span tokens are ordinary (never UNK) and free-text tokens are
-    ordinary or UNK. Raises :class:`GrammarError` on any violation.
+    ordinary or UNK. The parse folds the decoders' automaton over the trace,
+    so a trace parses exactly when a decode could have emitted it; the list's
+    stop decision is never emitted, so it is taken where the trace leaves the
+    list. Raises :class:`GrammarError` on any violation.
     """
-    i = 0
-    n = len(trace)
-
-    def fail(reason: str) -> GrammarError:
-        return GrammarError(f"position {i}: {reason}")
-
-    docid_spans: list[tuple[int, ...]] = []
-    while i < n and trace[i] == DOCID_OPEN:
-        i += 1
-        span: list[int] = []
-        while i < n and trace[i] not in SPECIAL_IDS:
-            span.append(trace[i])
-            i += 1
-        if i >= n or trace[i] != DOCID_CLOSE:
-            raise fail("DocID span not closed")
-        if not span:
-            raise fail("empty DocID span")
-        docid_spans.append(tuple(span))
-        i += 1
-
-    reference_spans: list[tuple[int, ...]] = []
-    while i < n and trace[i] == REF_OPEN:
-        i += 1
-        span = []
-        while i < n and (trace[i] not in SPECIAL_IDS or trace[i] == UNK):
-            span.append(trace[i])
-            i += 1
-        if i >= n or trace[i] != REF_CLOSE:
-            raise fail("reference span not closed")
-        reference_spans.append(tuple(span))
-        i += 1
-
-    if i >= n or trace[i] != ANSWER_OPEN:
-        raise fail("expected answer marker")
-    i += 1
-    answer: list[int] = []
-    while i < n and (trace[i] not in SPECIAL_IDS or trace[i] == UNK):
-        answer.append(trace[i])
-        i += 1
-    if i >= n or trace[i] != EOS:
-        raise fail("expected end-of-sequence")
-    i += 1
-    if i != n:
-        raise fail("trailing tokens after end-of-sequence")
-    return ParsedTrace(tuple(docid_spans), tuple(reference_spans), tuple(answer))
+    state = GrammarState(Phase.LIST)
+    spans: dict[Phase, list[list[int]]] = {Phase.DOCID: [], Phase.REF: [], Phase.ANSWER: []}
+    for i, token in enumerate(trace):
+        if state.phase is Phase.LIST and token != DOCID_OPEN:
+            state = step(state, EOS)
+        try:
+            nxt = step(state, token)
+        except GrammarError as exc:
+            raise GrammarError(f"position {i}: {exc}") from None
+        if nxt.phase in spans:
+            if nxt.phase is state.phase:
+                spans[nxt.phase][-1].append(token)
+            else:
+                spans[nxt.phase].append([])
+        state = nxt
+    if state.phase is not Phase.DONE:
+        raise GrammarError(f"position {len(trace)}: trace ends in phase {state.phase.value}")
+    docid_spans, reference_spans, answers = (tuple(map(tuple, spans[p])) for p in spans)
+    return ParsedTrace(docid_spans, reference_spans, answers[0])
 
 
 def rag_result_record(query_id: str, result: RagResult) -> dict:

@@ -255,10 +255,14 @@ def evaluate_run(
     )
 
 
-def write_report(report: EvalReport, path, per_query_path=None) -> None:
-    """Write the aggregate report as JSON, optionally a per-query JSONL table."""
+def write_report(report: EvalReport, path, per_query_path=None, config: dict | None = None) -> None:
+    """Write the aggregate report as JSON, optionally a per-query JSONL table.
+
+    A ``config`` mapping is embedded under the report's top-level ``config`` key.
+    """
+    payload = report.as_dict() if config is None else {"config": config, **report.as_dict()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if per_query_path is not None:
         with open(per_query_path, "w", encoding="utf-8") as fh:

@@ -154,11 +154,6 @@ def allowed_continuations(
     return Continuations(tokens=frozenset(allowed), close_permitted=close_ok)
 
 
-def remaining_docids(trie: DocIdTrie, excl: ExclusionSet) -> int:
-    """Number of corpus DocIDs still spellable under the exclusion set."""
-    return trie.root.subtree_count - len(excl)
-
-
 def dump_trie(trie: DocIdTrie, path) -> None:
     """Write a preorder snapshot, one node per line: depth, token id, terminal flag.
 
@@ -203,10 +198,14 @@ def load_trie(path, corpus: Corpus | None = None, vocab: Vocabulary | None = Non
                 depth, token, terminal = int(depth_s), int(token_s), bool(int(term_s))
             except ValueError as exc:
                 raise TrieError(f"{path}:{lineno}: malformed trie snapshot line") from exc
-            if depth + 1 > len(stack):
-                raise TrieError(f"{path}:{lineno}: depth {depth} skips a level")
+            if not 0 <= depth < len(stack):
+                raise TrieError(f"{path}:{lineno}: depth {depth} does not follow the line above")
+            if token <= UNK:
+                raise TrieError(f"{path}:{lineno}: token id {token} is reserved or negative")
             del stack[depth + 1 :]
             parent, parent_path = stack[depth]
+            if token in parent.children:
+                raise TrieError(f"{path}:{lineno}: token id {token} repeats under one parent")
             node = TrieNode()
             parent.children[token] = node
             node_path = parent_path + (token,)

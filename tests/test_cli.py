@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +203,23 @@ def test_retrieval_quality_on_fixture(workdir):
     top = {r["query_id"]: r["docids"][0] for r in read_jsonl_records(results)}
     assert top["q1"] == "Mars # overview"
     assert top["q2"] == "Jupiter # overview"
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+
+
+@pytest.mark.parametrize("name, command", [
+    ("retrieve", ["retrieve"]),
+    ("rag_continuous", ["rag", "--mode", "continuous"]),
+    ("rag_pipeline", ["rag", "--mode", "pipeline"]),
+])
+def test_demo_data_records_match_golden(tmp_path, name, command):
+    # The golden files hold every record line after the ``_config`` line,
+    # which echoes per-run paths; default flags otherwise.
+    out = tmp_path / f"{name}.jsonl"
+    assert run(command + ["--corpus", DEMO_DATA / "corpus.jsonl",
+                          "--gold", DEMO_DATA / "gold.jsonl", "--out", out]) == 0
+    config_line, records = out.read_bytes().split(b"\n", 1)
+    assert b'"_config"' in config_line
+    assert records == (GOLDEN / f"{name}.jsonl").read_bytes()

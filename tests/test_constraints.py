@@ -1,18 +1,21 @@
 import random
 
+import numpy as np
 import pytest
 
 from docidlm.constraints import (
     UNCONSTRAINED,
     ConstraintState,
-    DecodePhase,
+    GrammarState,
     MalformedSequenceError,
     Mode,
+    Phase,
     allowed_mask,
     scan_state,
+    step,
     step_state,
 )
-from docidlm.tokens import DOCID_CLOSE, DOCID_OPEN, EOS, build_vocabulary
+from docidlm.tokens import DOCID_CLOSE, DOCID_OPEN, EOS, REF_CLOSE, UNK, build_vocabulary
 from docidlm.trie import ExclusionSet, build_trie, exclude
 
 from conftest import corpus_from_rows
@@ -108,50 +111,52 @@ class TestAllowedMask:
         return self.vocab.token_to_id[s]
 
     def test_inside_docid_delegates_to_trie(self):
-        state = ConstraintState(Mode.INSIDE_DOCID, (self.tok("a"), self.tok("#")))
-        mask = allowed_mask(state, self.trie, ExclusionSet(self.trie),
-                            DecodePhase.DOCID_LIST, self.vocab.size)
-        assert mask == {self.tok("x"), self.tok("y")}
+        state = inside_docid((self.tok("a"), self.tok("#")))
+        mask = allowed_mask(state, self.trie, ExclusionSet(self.trie), self.vocab.size)
+        assert mask.dtype == np.int64
+        assert mask.tolist() == sorted([self.tok("x"), self.tok("y")])
 
     def test_docid_list_phase_outside(self):
-        mask = allowed_mask(UNCONSTRAINED, self.trie, ExclusionSet(self.trie),
-                            DecodePhase.DOCID_LIST, self.vocab.size)
-        assert mask == {DOCID_OPEN, EOS}
+        mask = allowed_mask(GrammarState(Phase.LIST), self.trie, ExclusionSet(self.trie),
+                            self.vocab.size)
+        assert mask.tolist() == [DOCID_OPEN, EOS]
 
     def test_docid_list_phase_exhausted_withholds_open(self):
         excl = ExclusionSet(self.trie)
         exclude(excl, "a # x")
         exclude(excl, "a # y")
-        mask = allowed_mask(UNCONSTRAINED, self.trie, excl,
-                            DecodePhase.DOCID_LIST, self.vocab.size)
-        assert mask == {EOS}
+        mask = allowed_mask(GrammarState(Phase.LIST), self.trie, excl, self.vocab.size)
+        assert mask.tolist() == [EOS]
 
     def test_terminal_with_children(self):
         corpus = corpus_from_rows([("1", "a", "x", "t."), ("2", "a", "x y", "t.")])
         vocab = build_vocabulary(corpus, [])
         trie = build_trie(corpus, vocab)
         prefix = (vocab.token_to_id["a"], vocab.token_to_id["#"], vocab.token_to_id["x"])
-        state = ConstraintState(Mode.INSIDE_DOCID, prefix)
-        mask = allowed_mask(state, trie, ExclusionSet(trie),
-                            DecodePhase.DOCID_LIST, vocab.size)
-        assert mask == {vocab.token_to_id["y"], DOCID_CLOSE}
+        mask = allowed_mask(inside_docid(prefix), trie, ExclusionSet(trie), vocab.size)
+        assert mask.tolist() == [DOCID_CLOSE, vocab.token_to_id["y"]]
 
     def test_free_text_excludes_unmatched_close(self):
-        mask = allowed_mask(UNCONSTRAINED, self.trie, ExclusionSet(self.trie),
-                            DecodePhase.FREE_TEXT, self.vocab.size)
-        assert DOCID_CLOSE not in mask
-        assert mask == set(range(self.vocab.size)) - {DOCID_CLOSE}
+        for phase, close in [(Phase.REF, REF_CLOSE), (Phase.ANSWER, EOS)]:
+            mask = allowed_mask(GrammarState(phase), self.trie, ExclusionSet(self.trie),
+                                self.vocab.size)
+            assert DOCID_CLOSE not in mask
+            assert mask.tolist() == [close] + list(range(UNK, self.vocab.size))
+
+
+def inside_docid(prefix):
+    return GrammarState(Phase.DOCID, span=ConstraintState(Mode.INSIDE_DOCID, tuple(prefix)))
 
 
 def rollout_sound(trie, vocab_size, excl, state, depth=0):
     """Every admitted token must keep some completion reachable."""
-    mask = allowed_mask(state, trie, excl, DecodePhase.DOCID_LIST, vocab_size)
-    if state.inside_docid:
-        assert mask, "dead end inside a DocID span"
-    for token in mask:
+    mask = allowed_mask(state, trie, excl, vocab_size)
+    if state.phase is Phase.DOCID:
+        assert mask.size, "dead end inside a DocID span"
+    for token in mask.tolist():
         if token in (EOS, DOCID_CLOSE):
             continue
-        rollout_sound(trie, vocab_size, excl, step_state(state, token), depth + 1)
+        rollout_sound(trie, vocab_size, excl, step(state, token), depth + 1)
 
 
 def test_mask_soundness_exhaustive_rollout():
@@ -166,7 +171,7 @@ def test_mask_soundness_exhaustive_rollout():
         doc_ids = sorted(corpus.documents)
         for doc_id in rng.sample(doc_ids, rng.randint(0, len(doc_ids) // 2)):
             exclude(excl, doc_id)
-        rollout_sound(trie, vocab.size, excl, UNCONSTRAINED)
+        rollout_sound(trie, vocab.size, excl, GrammarState(Phase.LIST))
 
 
 def test_dead_end_error_surfaces_exclusion_bugs():
@@ -177,6 +182,5 @@ def test_dead_end_error_surfaces_exclusion_bugs():
     trie = build_trie(corpus, vocab)
     excl = exclude(ExclusionSet(trie), "a # x")
     # a span forced open despite full exclusion has nowhere to go
-    state = ConstraintState(Mode.INSIDE_DOCID, (vocab.token_to_id["a"],))
     with pytest.raises(DeadEndError):
-        allowed_mask(state, trie, excl, DecodePhase.DOCID_LIST, vocab.size)
+        allowed_mask(inside_docid([vocab.token_to_id["a"]]), trie, excl, vocab.size)

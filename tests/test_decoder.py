@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from docidlm.constraints import DecodePhase, allowed_mask, scan_state
+from docidlm.constraints import GrammarState, Phase, allowed_mask, scan_state
 from docidlm.decoder import (
     DecodeError,
     GrammarError,
+    ParsedTrace,
     generate_closed_book,
     generate_docid_list,
     generate_rag,
@@ -23,6 +25,8 @@ from docidlm.tokens import (
     EOS,
     REF_CLOSE,
     REF_OPEN,
+    SPECIAL_IDS,
+    UNK,
     Vocabulary,
     build_vocabulary,
     encode,
@@ -166,7 +170,7 @@ class TestDocIdList:
                         if hist[s : s + len(span)] == span:
                             excl.add(did)
                             break
-                return allowed_mask(inner, trie, excl, DecodePhase.DOCID_LIST, vocab.size)
+                return allowed_mask(GrammarState(Phase.DOCID, span=inner), trie, excl, vocab.size)
 
             recomputed = score_sequence(lm, context, list(path), mask_provider=provider)
             assert reported == pytest.approx(recomputed, abs=1e-9)
@@ -222,7 +226,7 @@ class TestScoreSequence:
         corpus, vocab, trie, lm, queries = random_instance(rng, 5)
         context = encode(vocab, queries[0])
         target = encode(vocab, queries[1]) or [7]
-        full = set(range(vocab.size))
+        full = np.arange(vocab.size)
         unmasked = score_sequence(lm, context, target)
         masked = score_sequence(lm, context, target, mask_provider=lambda p: full)
         assert masked == pytest.approx(unmasked, abs=1e-9)
@@ -337,3 +341,96 @@ class TestParseTrace:
     def test_rejects_malformed(self, trace):
         with pytest.raises(GrammarError):
             parse_rag_trace(trace)
+
+
+# ---------------------------------------------------------------------------
+# Independent parser oracle: the hand-written recursive-descent parser that
+# parse_rag_trace replaced.
+
+
+def oracle_parse_rag_trace(trace):
+    i = 0
+    n = len(trace)
+
+    def fail(reason):
+        return GrammarError(f"position {i}: {reason}")
+
+    docid_spans = []
+    while i < n and trace[i] == DOCID_OPEN:
+        i += 1
+        span = []
+        while i < n and trace[i] not in SPECIAL_IDS:
+            span.append(trace[i])
+            i += 1
+        if i >= n or trace[i] != DOCID_CLOSE:
+            raise fail("DocID span not closed")
+        if not span:
+            raise fail("empty DocID span")
+        docid_spans.append(tuple(span))
+        i += 1
+
+    reference_spans = []
+    while i < n and trace[i] == REF_OPEN:
+        i += 1
+        span = []
+        while i < n and (trace[i] not in SPECIAL_IDS or trace[i] == UNK):
+            span.append(trace[i])
+            i += 1
+        if i >= n or trace[i] != REF_CLOSE:
+            raise fail("reference span not closed")
+        reference_spans.append(tuple(span))
+        i += 1
+
+    if i >= n or trace[i] != ANSWER_OPEN:
+        raise fail("expected answer marker")
+    i += 1
+    answer = []
+    while i < n and (trace[i] not in SPECIAL_IDS or trace[i] == UNK):
+        answer.append(trace[i])
+        i += 1
+    if i >= n or trace[i] != EOS:
+        raise fail("expected end-of-sequence")
+    i += 1
+    if i != n:
+        raise fail("trailing tokens after end-of-sequence")
+    return ParsedTrace(tuple(docid_spans), tuple(reference_spans), tuple(answer))
+
+
+def parse_outcome(parser, trace):
+    try:
+        return parser(trace)
+    except GrammarError:
+        return "rejected"
+
+
+def test_parser_agrees_with_oracle_on_decodes_and_single_token_edits():
+    rng = random.Random(89)
+    traces = []
+    for _ in range(30):
+        corpus, vocab, trie, lm, queries = random_instance(rng, rng.randint(1, 12))
+        k_retrieve = rng.randint(1, 5)
+        generate = rng.choice([generate_rag, generate_rag_pipeline])
+        result = generate(lm, trie, corpus, rng.choice(queries), k_retrieve=k_retrieve,
+                          k_context=rng.randint(1, k_retrieve), max_ref_tokens=rng.randint(0, 4),
+                          max_answer_tokens=rng.randint(0, 4))
+        traces.append((list(result.token_trace), vocab.size))
+    cases = [trace for trace, _ in traces]
+    while len(cases) < 12_000:  # single-token edits of the decode traces
+        trace, vocab_size = rng.choice(traces)
+        trace = list(trace)
+        token = rng.choice(list(SPECIAL_IDS) * 3 + [rng.randrange(vocab_size)])
+        edit = rng.choice(["insert", "delete", "substitute"])
+        position = rng.randrange(len(trace) + (edit == "insert"))
+        if edit == "insert":
+            trace.insert(position, token)
+        elif edit == "delete":
+            del trace[position]
+        else:
+            trace[position] = token
+        cases.append(trace)
+    outcomes = {"accepted": 0, "rejected": 0}
+    for trace in cases:
+        expected = parse_outcome(oracle_parse_rag_trace, trace)
+        assert parse_outcome(parse_rag_trace, trace) == expected, trace
+        outcomes["rejected" if expected == "rejected" else "accepted"] += 1
+    assert min(outcomes.values()) > 1_000, outcomes

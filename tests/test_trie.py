@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -14,7 +15,6 @@ from docidlm.trie import (
     dump_trie,
     exclude,
     load_trie,
-    remaining_docids,
 )
 
 from conftest import corpus_from_rows, random_corpus
@@ -124,7 +124,7 @@ class TestContinuations:
         exclude(excl, "a # y")
         cont = allowed_continuations(trie, [], excl)
         assert cont.tokens == frozenset()
-        assert remaining_docids(trie, excl) == 0
+        assert len(trie) - len(excl) == 0
 
     def test_sibling_survives_exclusion(self):
         corpus, vocab, trie = two_doc_setup()
@@ -204,6 +204,21 @@ class TestSnapshot:
         dump_trie(trie, path)
         loaded = load_trie(path)
         assert len(loaded) == 0
+
+
+@pytest.mark.parametrize("lines, bad_line", [
+    (["-1\t8\t1"], 1),  # negative depth
+    (["0\t2\t1"], 1),  # reserved token id
+    (["0\t-3\t1"], 1),  # negative token id
+    (["0\t7\t0", "1\t8\t1", "0\t7\t1"], 3),  # token repeated under one parent
+    (["0\t7\t0", "2\t8\t1"], 2),  # depth skips a level
+    (["0\t7\t0", "1\tx\t1"], 2),  # non-integer field
+])
+def test_malformed_snapshot_rejected_with_line(tmp_path, lines, bad_line):
+    path = tmp_path / "trie.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TrieError, match=f"^{re.escape(str(path))}:{bad_line}: "):
+        load_trie(path)
 
 
 def return_trip(trie, corpus, vocab, tmp_dir="/tmp"):

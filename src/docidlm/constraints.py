@@ -24,6 +24,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -189,6 +190,9 @@ def step(state: GrammarState, token: int) -> GrammarState:
     return nxt
 
 
+_CLOSE = np.array([DOCID_CLOSE], dtype=np.int64)
+
+
 def allowed_mask(
     state: GrammarState,
     trie: DocIdTrie,
@@ -202,24 +206,33 @@ def allowed_mask(
     symbol is withheld once every DocID is excluded, so no span can dead-end.
     Between references the plan forces ``<ref>`` while a reference is owed
     and ``<answer>`` after; a spent segment cap forces the closing symbol.
+
+    A DocID mask filters the trie node's child array; every other mask comes
+    from :func:`class_ids`, so the array may be shared and read-only.
     """
     if state.phase is Phase.DOCID:
         cont = allowed_continuations(trie, state.span.inner_prefix, excl)
-        ids = sorted(cont.tokens)
-        if cont.close_permitted:
-            ids.insert(0, DOCID_CLOSE)
-        if not ids:
+        ids = np.concatenate((_CLOSE, cont.ids)) if cont.close_permitted else cont.ids
+        if not ids.size:
             raise DeadEndError(
                 f"no continuation from inner prefix {list(state.span.inner_prefix)}"
             )
-        return np.array(ids, dtype=np.int64)
+        return ids
     exit_symbol, _, body = GRAMMAR[state.phase]
-    classes = [_symbol(exit_symbol)] + [cls for cls, _ in body]
+    classes = (_symbol(exit_symbol),) + tuple(cls for cls, _ in body)
     if _spent(state) or (state.phase is Phase.LIST and len(trie) == len(excl)):
         classes = classes[:1]
     elif state.phase is Phase.REFS and state.plan.refs is not None:
         classes = classes[1:]
-    classes.sort(key=lambda cls: cls.start)
-    return np.concatenate(
-        [np.arange(cls.start, min(cls.stop, vocab_size), dtype=np.int64) for cls in classes]
-    )
+    return class_ids(classes, vocab_size)
+
+
+@lru_cache(maxsize=64)
+def class_ids(classes: tuple[range, ...], vocab_size: int) -> np.ndarray:
+    """Ascending ids of the token classes below ``vocab_size``, built once, read-only."""
+    ids = np.concatenate([
+        np.arange(cls.start, min(cls.stop, vocab_size), dtype=np.int64)
+        for cls in sorted(classes, key=lambda cls: cls.start)
+    ])
+    ids.flags.writeable = False
+    return ids

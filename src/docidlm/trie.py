@@ -5,11 +5,18 @@ Duplicate prevention is session-local: an :class:`ExclusionSet` logically
 removes already-generated DocIDs, which is observationally equivalent to
 physical node deletion for a single session but keeps the shared structure
 untouched.
+
+A finished trie gives every node a read-only ascending array of its child
+tokens. Excluding a DocID walks its path once and records a child token as
+dead under its parent when every DocID below the child is excluded, so a
+continuation query is the node's array minus its few dead tokens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .corpus import Corpus, UnknownDocIdError
 from .tokens import SPECIAL_IDS, UNK, Vocabulary, encode
@@ -23,23 +30,41 @@ class InvalidPrefixError(TrieError):
     """A queried prefix is not a path in the trie (decoder bug)."""
 
 
-@dataclass
+def _frozen(ids: np.ndarray) -> np.ndarray:
+    ids.flags.writeable = False
+    return ids
+
+
+_NO_CHILDREN = _frozen(np.empty(0, dtype=np.int64))
+
+
+# Identity equality: nodes key the per-session exclusion counts.
+@dataclass(eq=False)
 class TrieNode:
     children: dict[int, "TrieNode"] = field(default_factory=dict)
     terminal_docid: str | None = None
     subtree_count: int = 0
+    # ascending child tokens, read-only; set when the trie is finished, shared by leaves
+    child_ids: np.ndarray = field(default_factory=lambda: _NO_CHILDREN, repr=False)
 
     @property
     def is_terminal(self) -> bool:
         return self.terminal_docid is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Continuations:
-    """Result of a continuation query: next tokens plus the close permission."""
+    """Result of a continuation query: next tokens plus the close permission.
 
-    tokens: frozenset[int]
+    ``ids`` is a read-only ascending int64 array of the allowed child tokens.
+    """
+
+    ids: np.ndarray
     close_permitted: bool
+
+    @property
+    def tokens(self) -> frozenset[int]:
+        return frozenset(self.ids.tolist())
 
 
 class DocIdTrie:
@@ -87,31 +112,39 @@ class ExclusionSet:
 
     def __init__(self, trie: DocIdTrie) -> None:
         self._trie = trie
-        self._paths: dict[str, tuple[int, ...]] = {}
+        self._docids: set[str] = set()
+        self._excluded: dict[TrieNode, int] = {}  # excluded DocIDs below each node
+        self._dead: dict[TrieNode, list[int]] = {}  # child tokens with nothing left below
 
     def __len__(self) -> int:
-        return len(self._paths)
+        return len(self._docids)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._paths
+        return doc_id in self._docids
 
     @property
     def docids(self) -> set[str]:
-        return set(self._paths)
+        return set(self._docids)
 
     def add(self, doc_id: str) -> None:
+        """Exclude ``doc_id`` at O(depth) cost; excluding it again changes nothing."""
         path = self._trie.docid_paths.get(doc_id)
         if path is None:
             raise UnknownDocIdError(f"cannot exclude unknown DocID: {doc_id!r}")
-        self._paths[doc_id] = path
+        if doc_id in self._docids:
+            return
+        self._docids.add(doc_id)
+        node = self._trie.root
+        for token in path:
+            parent, node = node, node.children[token]
+            count = self._excluded.get(node, 0) + 1
+            self._excluded[node] = count
+            if count == node.subtree_count:
+                self._dead.setdefault(parent, []).append(token)
 
-    def excluded_under(self, prefix_len: int, path_prefix: tuple[int, ...]) -> int:
-        """Count excluded DocIDs whose token path starts with ``path_prefix``."""
-        count = 0
-        for path in self._paths.values():
-            if len(path) >= prefix_len and path[:prefix_len] == path_prefix:
-                count += 1
-        return count
+    def dead_under(self, node: TrieNode) -> list[int]:
+        """Child tokens of ``node`` whose every DocID is excluded."""
+        return self._dead.get(node, [])
 
 
 def build_trie(corpus: Corpus, vocab: Vocabulary) -> DocIdTrie:
@@ -125,7 +158,18 @@ def build_trie(corpus: Corpus, vocab: Vocabulary) -> DocIdTrie:
         if bad:
             raise TrieError(f"DocID {doc_id!r} tokenizes to reserved ids {bad}")
         trie._insert(tokens, doc_id)
+    _finish(trie)
     return trie
+
+
+def _finish(trie: DocIdTrie) -> None:
+    """Give every inner node its read-only ascending child-token array."""
+    stack = [trie.root]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            node.child_ids = _frozen(np.array(sorted(node.children), dtype=np.int64))
+            stack.extend(node.children.values())
 
 
 def exclude(excl: ExclusionSet, doc_id: str) -> ExclusionSet:
@@ -143,15 +187,13 @@ def allowed_continuations(
     its subtree; the close flag is set iff ``prefix`` itself ends at a terminal
     whose DocID is not excluded.
     """
-    prefix = tuple(prefix)
     node = trie.node_at(prefix)
-    allowed: set[int] = set()
-    for token, child in node.children.items():
-        child_prefix = prefix + (token,)
-        if child.subtree_count > excl.excluded_under(len(child_prefix), child_prefix):
-            allowed.add(token)
+    ids = node.child_ids
+    dead = excl.dead_under(node)
+    if dead:
+        ids = _frozen(np.delete(ids, np.searchsorted(ids, dead)))
     close_ok = node.is_terminal and node.terminal_docid not in excl
-    return Continuations(tokens=frozenset(allowed), close_permitted=close_ok)
+    return Continuations(ids=ids, close_permitted=close_ok)
 
 
 def dump_trie(trie: DocIdTrie, path) -> None:
@@ -187,7 +229,16 @@ def load_trie(path, corpus: Corpus | None = None, vocab: Vocabulary | None = Non
             path_to_docid[tuple(encode(vocab, doc_id))] = doc_id
 
     trie = DocIdTrie()
-    stack: list[tuple[TrieNode, tuple[int, ...]]] = [(trie.root, ())]
+    # (node, token path, snapshot line) along the chain from the root to the last node read
+    stack: list[tuple[TrieNode, tuple[int, ...], int]] = [(trie.root, (), 0)]
+
+    def close_chain(depth: int) -> None:
+        """Pop the chain below ``depth``; a popped last node is a leaf and must end a DocID."""
+        node, _, node_line = stack[-1]
+        if depth + 1 < len(stack) and not node.is_terminal:
+            raise TrieError(f"{path}:{node_line}: leaf node ends no DocID")
+        del stack[depth + 1 :]
+
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -202,8 +253,8 @@ def load_trie(path, corpus: Corpus | None = None, vocab: Vocabulary | None = Non
                 raise TrieError(f"{path}:{lineno}: depth {depth} does not follow the line above")
             if token <= UNK:
                 raise TrieError(f"{path}:{lineno}: token id {token} is reserved or negative")
-            del stack[depth + 1 :]
-            parent, parent_path = stack[depth]
+            close_chain(depth)
+            parent, parent_path, _ = stack[depth]
             if token in parent.children:
                 raise TrieError(f"{path}:{lineno}: token id {token} repeats under one parent")
             node = TrieNode()
@@ -211,7 +262,8 @@ def load_trie(path, corpus: Corpus | None = None, vocab: Vocabulary | None = Non
             node_path = parent_path + (token,)
             if terminal:
                 node.terminal_docid = path_to_docid.get(node_path, "#".join(map(str, node_path)))
-            stack.append((node, node_path))
+            stack.append((node, node_path, lineno))
+    close_chain(0)
 
     def recount(node: TrieNode) -> int:
         total = int(node.is_terminal) + sum(recount(c) for c in node.children.values())
@@ -221,6 +273,7 @@ def load_trie(path, corpus: Corpus | None = None, vocab: Vocabulary | None = Non
     recount(trie.root)
     for doc_id, node_path in _terminal_paths(trie.root, ()):
         trie.docid_paths[doc_id] = node_path
+    _finish(trie)
     return trie
 
 

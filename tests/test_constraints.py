@@ -10,12 +10,22 @@ from docidlm.constraints import (
     MalformedSequenceError,
     Mode,
     Phase,
+    Plan,
     allowed_mask,
     scan_state,
     step,
     step_state,
 )
-from docidlm.tokens import DOCID_CLOSE, DOCID_OPEN, EOS, REF_CLOSE, UNK, build_vocabulary
+from docidlm.tokens import (
+    ANSWER_OPEN,
+    DOCID_CLOSE,
+    DOCID_OPEN,
+    EOS,
+    REF_CLOSE,
+    REF_OPEN,
+    UNK,
+    build_vocabulary,
+)
 from docidlm.trie import ExclusionSet, build_trie, exclude
 
 from conftest import corpus_from_rows
@@ -142,6 +152,41 @@ class TestAllowedMask:
                                 self.vocab.size)
             assert DOCID_CLOSE not in mask
             assert mask.tolist() == [close] + list(range(UNK, self.vocab.size))
+
+
+def free_text_cases(vocab_size):
+    """(state, mask built afresh) for every phase outside a DocID span, spent or not."""
+    words = list(range(UNK, vocab_size))
+    caps = Plan(docids=2, refs=2, ref_tokens=3, answer_tokens=3)
+    return [
+        (GrammarState(Phase.LIST, caps), [DOCID_OPEN, EOS]),
+        (GrammarState(Phase.LIST, caps, docids=2), [EOS]),
+        (GrammarState(Phase.REFS), [REF_OPEN, ANSWER_OPEN]),
+        (GrammarState(Phase.REFS, caps, docids=2, refs=1), [REF_OPEN]),
+        (GrammarState(Phase.REFS, caps, docids=2, refs=2), [ANSWER_OPEN]),
+        (GrammarState(Phase.REF, caps, length=2), [REF_CLOSE] + words),
+        (GrammarState(Phase.REF, caps, length=3), [REF_CLOSE]),
+        (GrammarState(Phase.ANSWER, caps, length=2), [EOS] + words),
+        (GrammarState(Phase.ANSWER, caps, length=3), [EOS]),
+        (GrammarState(Phase.CLOSED_BOOK, caps, length=2), [ANSWER_OPEN, EOS] + words),
+        (GrammarState(Phase.CLOSED_BOOK, caps, length=3), [EOS]),
+    ]
+
+
+def test_cached_free_text_masks_equal_fresh_ones():
+    corpus = corpus_from_rows([("1", "a", "x", "t."), ("2", "a", "y", "t.")])
+    small = build_vocabulary(corpus, [])
+    large = build_vocabulary(corpus, ["many more words for a second vocabulary size"])
+    assert small.size < large.size
+    trie = build_trie(corpus, small)
+    excl = ExclusionSet(trie)
+    for _ in range(2):  # the second pass reads the cache
+        for vocab_size in (small.size, large.size):
+            for state, expected in free_text_cases(vocab_size):
+                mask = allowed_mask(state, trie, excl, vocab_size)
+                assert mask.dtype == np.int64 and not mask.flags.writeable
+                assert mask.tolist() == expected, state
+                assert allowed_mask(state, trie, excl, vocab_size) is mask
 
 
 def inside_docid(prefix):

@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 
 from docidlm.corpus import UnknownDocIdError
@@ -188,6 +189,137 @@ class TestExclusionEquivalence:
                 previous[p] = now
 
 
+def oracle_allowed_continuations(trie, prefix, excl):
+    """The per-child scan the array query replaced: (ascending tokens, close flag)."""
+    prefix = tuple(prefix)
+    node = trie.node_at(prefix)
+    paths = [trie.docid_paths[doc_id] for doc_id in excl.docids]
+
+    def excluded_under(prefix_len, path_prefix):
+        count = 0
+        for path in paths:
+            if len(path) >= prefix_len and path[:prefix_len] == path_prefix:
+                count += 1
+        return count
+
+    allowed = []
+    for token, child in node.children.items():
+        child_prefix = prefix + (token,)
+        if child.subtree_count > excluded_under(len(child_prefix), child_prefix):
+            allowed.append(token)
+    close_ok = node.is_terminal and node.terminal_docid not in excl
+    return sorted(allowed), close_ok
+
+
+def assert_matches_oracle(trie, prefix, excl):
+    cont = allowed_continuations(trie, prefix, excl)
+    tokens, close_ok = oracle_allowed_continuations(trie, prefix, excl)
+    assert cont.ids.dtype == np.int64
+    assert not cont.ids.flags.writeable
+    assert np.all(np.diff(cont.ids) > 0)
+    assert cont.ids.tolist() == tokens
+    assert cont.close_permitted == close_ok
+
+
+def random_prefix(rng, trie):
+    path = trie.docid_paths[rng.choice(sorted(trie.docid_paths))]
+    return path[:rng.randint(0, len(path))]
+
+
+def shared_prefix_corpus(rng, n_docs):
+    """DocIDs whose one- and two-word titles and sections share their first words."""
+    titles = ["ant", "bee", "cat", "dog", "elk", "fox", "gnu", "hen"]
+    sections = ["one", "two", "three", "four", "five", "six", "seven", "eight"]
+    pairs = set()
+    while len(pairs) < n_docs:
+        title = " ".join(rng.sample(titles, rng.randint(1, 2)))
+        section = " ".join(rng.sample(sections, rng.randint(1, 2)))
+        pairs.add((title, section))
+    return corpus_from_rows(
+        [(str(i), title, section, "alpha beta.") for i, (title, section) in
+         enumerate(sorted(pairs))]
+    )
+
+
+class TestArrayContinuationsMatchOracle:
+    def test_random_corpora_built_and_loaded(self, tmp_path):
+        rng = random.Random(53)
+        for round_ in range(20):
+            corpus = random_corpus(rng, rng.randint(2, 60))
+            vocab = build_vocabulary(corpus, [])
+            built = build_trie(corpus, vocab)
+            dump_trie(built, tmp_path / f"trie{round_}.txt")
+            loaded = load_trie(tmp_path / f"trie{round_}.txt", corpus=corpus, vocab=vocab)
+            for trie in (built, loaded):
+                doc_ids = sorted(corpus.documents)
+                rng.shuffle(doc_ids)
+                excl = ExclusionSet(trie)
+                for doc_id in [None] + doc_ids:
+                    if doc_id is not None:
+                        exclude(excl, doc_id)
+                    assert_matches_oracle(trie, (), excl)
+                    for _ in range(4):
+                        assert_matches_oracle(trie, random_prefix(rng, trie), excl)
+
+    def test_benchmark_scale_corpus(self):
+        rng = random.Random(59)
+        corpus = shared_prefix_corpus(rng, 2000)
+        vocab = build_vocabulary(corpus, [])
+        trie = build_trie(corpus, vocab)
+        assert len(trie) == 2000
+        # whole titles die as well as single DocIDs, so dead tokens appear at every depth
+        by_title: dict[str, list[str]] = {}
+        for doc_id in sorted(corpus.documents):
+            by_title.setdefault(doc_id.split(" # ")[0], []).append(doc_id)
+        doomed = [d for title in rng.sample(sorted(by_title), 4) for d in by_title[title]]
+        order = doomed + rng.sample(sorted(set(corpus.documents) - set(doomed)), 120)
+        rng.shuffle(order)
+        excl = ExclusionSet(trie)
+        for doc_id in order:
+            exclude(excl, doc_id)
+            path = trie.docid_paths[doc_id]
+            assert_matches_oracle(trie, (), excl)
+            assert_matches_oracle(trie, path[:rng.randint(0, len(path))], excl)
+            assert_matches_oracle(trie, random_prefix(rng, trie), excl)
+
+
+def all_node_prefixes(trie):
+    found = []
+
+    def walk(node, prefix):
+        found.append(prefix)
+        for token, child in node.children.items():
+            walk(child, prefix + (token,))
+
+    walk(trie.root, ())
+    return found
+
+
+class TestIdempotentExclusion:
+    def test_sibling_survives_repeated_exclusion(self):
+        corpus, vocab, trie = two_doc_setup()
+        excl = exclude(exclude(ExclusionSet(trie), "a # x"), "a # x")
+        assert len(excl) == 1
+        assert spellable_docids(trie, excl) == {"a # y"}
+
+    def test_second_exclusion_leaves_every_mask(self):
+        rng = random.Random(61)
+        for _ in range(10):
+            corpus = random_corpus(rng, rng.randint(2, 40))
+            vocab = build_vocabulary(corpus, [])
+            trie = build_trie(corpus, vocab)
+            prefixes = all_node_prefixes(trie)
+            excl = ExclusionSet(trie)
+            for doc_id in rng.sample(sorted(corpus.documents), len(corpus.documents) // 2):
+                exclude(excl, doc_id)
+                once = [allowed_continuations(trie, p, excl) for p in prefixes]
+                exclude(excl, doc_id)
+                twice = [allowed_continuations(trie, p, excl) for p in prefixes]
+                for a, b in zip(once, twice):
+                    assert a.ids.tolist() == b.ids.tolist()
+                    assert a.close_permitted == b.close_permitted
+
+
 class TestSnapshot:
     def test_dump_load_structural_identity(self):
         rng = random.Random(31)
@@ -213,6 +345,8 @@ class TestSnapshot:
     (["0\t7\t0", "1\t8\t1", "0\t7\t1"], 3),  # token repeated under one parent
     (["0\t7\t0", "2\t8\t1"], 2),  # depth skips a level
     (["0\t7\t0", "1\tx\t1"], 2),  # non-integer field
+    (["0\t7\t1", "0\t8\t0"], 2),  # leaf that ends no DocID, last line
+    (["0\t7\t0", "0\t8\t1"], 1),  # leaf that ends no DocID, before a sibling
 ])
 def test_malformed_snapshot_rejected_with_line(tmp_path, lines, bad_line):
     path = tmp_path / "trie.txt"

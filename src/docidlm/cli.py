@@ -14,8 +14,10 @@ import logging
 import os
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from time import perf_counter
 
 from . import metrics, training
 from .corpus import Corpus, GoldRecord, ingest_corpus, load_gold
@@ -27,7 +29,7 @@ from .decoder import (
 )
 from .lm import LmScorer, RemoteLm
 from .tokens import Vocabulary, build_vocabulary, save_vocabulary
-from .trie import build_trie, dump_trie
+from .trie import DocIdTrie, build_trie, dump_trie
 
 logger = logging.getLogger(__name__)
 
@@ -149,24 +151,41 @@ class EngineComponents:
     lm: LmScorer | None = None
 
 
+@contextmanager
+def build_stage(name: str):
+    """Log at DEBUG how many seconds the enclosed build stage took."""
+    start = perf_counter()
+    yield
+    logger.debug("build stage %s took %.3f s", name, perf_counter() - start)
+
+
 def prepare_components(config: RunConfig, with_lm: bool = True) -> EngineComponents:
     if not config.corpus:
         raise SystemExit("missing --corpus")
     corpus = ingest_corpus(config.corpus)
     gold_records = load_gold(config.gold) if config.gold else []
-    vocab = engine_vocabulary(corpus, gold_records)
-    index = training.build_bm25_index(corpus, k1=config.bm25_k1, b=config.bm25_b)
+    with build_stage("vocab"):
+        vocab = engine_vocabulary(corpus, gold_records)
+    with build_stage("bm25"):
+        index = training.build_bm25_index(corpus, k1=config.bm25_k1, b=config.bm25_b)
     components = EngineComponents(corpus, gold_records, vocab, index)
-    components.examples = build_training_examples(corpus, gold_records, index, config)
+    with build_stage("examples"):
+        components.examples = build_training_examples(corpus, gold_records, index, config)
     if with_lm:
         if config.remote_lm:
             components.lm = RemoteLm(vocab, config.remote_lm)
         else:
-            components.lm = training.build_reference_lm(
-                corpus, vocab, components.examples,
-                order=config.ngram_order, alpha=config.alpha,
-            )
+            with build_stage("ngram_fit"):
+                components.lm = training.build_reference_lm(
+                    corpus, vocab, components.examples,
+                    order=config.ngram_order, alpha=config.alpha,
+                )
     return components
+
+
+def engine_trie(components: EngineComponents) -> DocIdTrie:
+    with build_stage("trie"):
+        return build_trie(components.corpus, components.vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +216,7 @@ def cmd_index(config: RunConfig) -> None:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_vocabulary(components.vocab, out_dir / "vocab.txt")
-    trie = build_trie(components.corpus, components.vocab)
+    trie = engine_trie(components)
     dump_trie(trie, out_dir / "trie.txt")
     meta = {
         "config": config.as_dict(),
@@ -219,7 +238,7 @@ def cmd_traindata(config: RunConfig) -> None:
 
 def cmd_retrieve(config: RunConfig) -> None:
     components = prepare_components(config)
-    trie = build_trie(components.corpus, components.vocab)
+    trie = engine_trie(components)
     records = []
     for gold in components.gold_records:
         ranked = generate_docid_list(components.lm, trie, gold.input, config.k_retrieve)
@@ -233,7 +252,7 @@ def cmd_retrieve(config: RunConfig) -> None:
 
 def cmd_rag(config: RunConfig) -> None:
     components = prepare_components(config)
-    trie = build_trie(components.corpus, components.vocab)
+    trie = engine_trie(components)
     generate = generate_rag if config.mode == "continuous" else generate_rag_pipeline
     records = []
     for gold in components.gold_records:

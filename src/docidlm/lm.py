@@ -9,6 +9,7 @@ minimum so downstream sums never see -inf.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -82,39 +83,78 @@ class NgramLm:
         self.order = order
         self.alpha = alpha
         self.floor_logprob = floor_logprob
-        # context tuple -> (token id array, count array, total count)
-        self._tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, int]] = {}
+        # Per context length c: the next-token ids and log(count + alpha) of
+        # each, grouped by context; a context tuple maps to (c, start, end,
+        # total count), and its table is ids[c][start:end] with
+        # log_counts[c][start:end].
+        self._ids: list[np.ndarray] = []
+        self._log_counts: list[np.ndarray] = []
+        self._index: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
 
     def fit(self, texts: Sequence[Sequence[int]]) -> "NgramLm":
-        counts: dict[tuple[int, ...], dict[int, int]] = {}
-        for seq in texts:
-            _check_context(self.vocab.size, seq)
-            for j, token in enumerate(seq):
-                for ctx_len in range(0, min(self.order - 1, j) + 1):
-                    context = tuple(seq[j - ctx_len : j])
-                    table = counts.setdefault(context, {})
-                    table[token] = table.get(token, 0) + 1
-        for context, table in counts.items():
-            ids = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
-            vals = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-            self._tables[context] = (ids, vals, int(vals.sum()))
+        """Count every (context, next token) pair; replaces any earlier fit.
+
+        Each context length is counted by sorting the (context, next token)
+        columns of every position that has that much history, so no Python
+        code runs per n-gram.
+        """
+        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        flat = np.fromiter(chain.from_iterable(texts), dtype=np.int64, count=int(lengths.sum()))
+        bad = np.flatnonzero((flat < 0) | (flat >= self.vocab.size))
+        if len(bad):
+            raise ValueError(f"context token id {flat[bad[0]]} outside vocabulary "
+                             f"of size {self.vocab.size}")
+        # each position's offset within its text: the context length it can have
+        offset = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        self._ids, self._log_counts, self._index = [], [], {}
+        for c in range(self.order):
+            ids, counts = self._count_context_length(flat, np.flatnonzero(offset >= c), c)
+            self._ids.append(ids)
+            self._log_counts.append(np.log(counts + self.alpha))
         return self
+
+    def _count_context_length(self, flat: np.ndarray, positions: np.ndarray,
+                              c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Tables of every length-``c`` context; fills ``self._index``."""
+        columns = [flat[positions - c + i] for i in range(c)] + [flat[positions]]
+        order = np.lexsort(columns[::-1])
+        columns = [column[order] for column in columns]
+        del order
+        # a run is one (context, next token) pair; a group is one context
+        new_group = np.zeros(len(positions), dtype=bool)
+        new_group[:1] = True
+        for column in columns[:-1]:
+            new_group[1:] |= column[1:] != column[:-1]
+        new_run = new_group.copy()
+        new_run[1:] |= columns[-1][1:] != columns[-1][:-1]
+        runs = np.flatnonzero(new_run)
+        counts = np.diff(np.append(runs, len(positions)))
+        ids = columns[-1][runs]
+        group_runs = np.flatnonzero(new_group[runs])
+        totals = np.add.reduceat(counts, group_runs)
+        ends = np.append(group_runs[1:], len(runs))
+        # zip stops at the shorter side, so the empty context of no text adds nothing
+        keys = zip(*(column[runs[group_runs]].tolist() for column in columns[:-1])) if c else [()]
+        self._index.update(zip(keys, zip(repeat(c), group_runs.tolist(), ends.tolist(),
+                                         totals.tolist())))
+        return ids, counts
 
     def _lookup(self, context: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
         history = tuple(context[max(0, len(context) - (self.order - 1)) :])
         for start in range(len(history) + 1):
-            entry = self._tables.get(history[start:])
-            if entry is not None and entry[2] > 0:
-                return entry
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
+            entry = self._index.get(history[start:])
+            if entry is not None:
+                c, lo, hi, total = entry
+                return self._ids[c][lo:hi], self._log_counts[c][lo:hi], total
+        return np.empty(0, dtype=np.int64), np.empty(0), 0
 
     def next_logprobs(self, context: Sequence[int]) -> np.ndarray:
         _check_context(self.vocab.size, context)
-        ids, vals, total = self._lookup(context)
+        ids, log_counts, total = self._lookup(context)
         denom = math.log(total + self.alpha * self.vocab.size)
         vector = np.full(self.vocab.size, math.log(self.alpha) - denom)
         if len(ids):
-            vector[ids] = np.log(vals + self.alpha) - denom
+            vector[ids] = log_counts - denom
         return np.maximum(vector, self.floor_logprob)
 
 

@@ -18,6 +18,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Protocol, Sequence
 
+import numpy as np
+
 from .corpus import Corpus, Document, UnknownDocIdError
 from .decoder import score_sequence
 from .lm import LmScorer, NgramLm, train_ngram
@@ -99,28 +101,42 @@ def _doc_terms(doc: Document) -> list[str]:
 
 
 class Bm25Index:
-    """Inverted index over title+section+body with classic BM25 scoring."""
+    """Inverted index over title+section+body with classic BM25 scoring.
+
+    Documents are numbered by their position in ``doc_ids``, the sorted
+    DocIDs. A term's postings are two aligned int64 arrays, the ascending
+    document numbers holding it and its frequency in each; ``norm`` holds
+    each document's length normalization ``k1 * (1 - b + b * dl / avgdl)``.
+    """
 
     def __init__(self, corpus: Corpus, k1: float = DEFAULT_BM25_K1, b: float = DEFAULT_BM25_B):
         self.corpus = corpus
         self.k1 = k1
         self.b = b
-        self.postings: dict[str, list[tuple[str, int]]] = {}
-        self.doc_lengths: dict[str, int] = {}
-        for doc_id in sorted(corpus.documents):
+        self.doc_ids = sorted(corpus.documents)
+        lengths = np.zeros(len(self.doc_ids), dtype=np.int64)
+        postings: dict[str, tuple[list[int], list[int]]] = {}
+        for i, doc_id in enumerate(self.doc_ids):
             terms = _doc_terms(corpus.documents[doc_id])
-            self.doc_lengths[doc_id] = len(terms)
-            for term, tf in sorted(Counter(terms).items()):
-                self.postings.setdefault(term, []).append((doc_id, tf))
-        n = len(self.doc_lengths)
-        self.avgdl = (sum(self.doc_lengths.values()) / n) if n else 0.0
+            lengths[i] = len(terms)
+            for term, tf in Counter(terms).items():
+                docs, tfs = postings.setdefault(term, ([], []))
+                docs.append(i)
+                tfs.append(tf)
+        self.postings = {
+            term: (np.array(docs, dtype=np.int64), np.array(tfs, dtype=np.int64))
+            for term, (docs, tfs) in postings.items()
+        }
+        n = len(self.doc_ids)
+        self.avgdl = (int(lengths.sum()) / n) if n else 0.0
+        self.norm = k1 * (1 - b + b * lengths / self.avgdl) if self.avgdl else np.zeros(n)
 
     @property
     def document_count(self) -> int:
-        return len(self.doc_lengths)
+        return len(self.doc_ids)
 
     def idf(self, term: str) -> float:
-        n_t = len(self.postings.get(term, ()))
+        n_t = len(self.postings[term][0]) if term in self.postings else 0
         n = self.document_count
         return math.log((n - n_t + 0.5) / (n_t + 0.5) + 1.0)
 
@@ -138,18 +154,17 @@ def bm25_retrieve(index: Bm25Index, query: str, k: int) -> list[tuple[str, float
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores: dict[str, float] = {}
+    scores = np.zeros(index.document_count)
+    touched = np.zeros(index.document_count, dtype=bool)
     for term in split_words(query):
-        postings = index.postings.get(term)
-        if not postings:
+        if term not in index.postings:
             continue
-        idf = index.idf(term)
-        for doc_id, tf in postings:
-            norm = index.k1 * (1 - index.b + index.b * index.doc_lengths[doc_id] / index.avgdl)
-            contribution = idf * tf * (index.k1 + 1) / (tf + norm)
-            scores[doc_id] = scores.get(doc_id, 0.0) + contribution
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+        docs, tfs = index.postings[term]
+        scores[docs] += index.idf(term) * tfs * (index.k1 + 1) / (tfs + index.norm[docs])
+        touched[docs] = True
+    candidates = np.flatnonzero(touched)
+    ranked = candidates[np.lexsort((candidates, -scores[candidates]))[:k]]
+    return [(index.doc_ids[i], score) for i, score in zip(ranked.tolist(), scores[ranked].tolist())]
 
 
 class Reranker(Protocol):
@@ -194,7 +209,7 @@ def construct_ranked_docid_list(
     retrieved-and-reranked extras fill the remaining slots up to ``k``.
     """
     for doc_id in labeled:
-        if doc_id not in index.doc_lengths:
+        if doc_id not in index.corpus:
             raise UnknownDocIdError(f"labeled DocID not in corpus: {doc_id!r}")
     merged = list(labeled)[:k]
     if len(merged) < k:

@@ -220,11 +220,15 @@ def load_trie(path, corpus: Corpus | None = None, vocab: Vocabulary | None = Non
     """Rebuild a structurally identical trie from a preorder snapshot.
 
     Terminal DocID identities are recovered when ``corpus`` and ``vocab`` are
-    given; otherwise terminals carry placeholder identities derived from the
-    path and the trie is suitable for structural audits only.
+    given, and then the snapshot must hold exactly the corpus DocIDs: a
+    terminal path that spells no corpus DocID, or a corpus DocID with no
+    terminal, is a :class:`TrieError`. Otherwise terminals carry placeholder
+    identities derived from the path and the trie is suitable for structural
+    audits only.
     """
+    bind = corpus is not None and vocab is not None
     path_to_docid: dict[tuple[int, ...], str] = {}
-    if corpus is not None and vocab is not None:
+    if bind:
         for doc_id in corpus.documents:
             path_to_docid[tuple(encode(vocab, doc_id))] = doc_id
 
@@ -261,6 +265,8 @@ def load_trie(path, corpus: Corpus | None = None, vocab: Vocabulary | None = Non
             parent.children[token] = node
             node_path = parent_path + (token,)
             if terminal:
+                if bind and node_path not in path_to_docid:
+                    raise TrieError(f"{path}:{lineno}: terminal path spells no corpus DocID")
                 node.terminal_docid = path_to_docid.get(node_path, "#".join(map(str, node_path)))
             stack.append((node, node_path, lineno))
     close_chain(0)
@@ -273,6 +279,10 @@ def load_trie(path, corpus: Corpus | None = None, vocab: Vocabulary | None = Non
     recount(trie.root)
     for doc_id, node_path in _terminal_paths(trie.root, ()):
         trie.docid_paths[doc_id] = node_path
+    if bind:
+        missing = sorted(set(corpus.documents) - set(trie.docid_paths))
+        if missing:
+            raise TrieError(f"{path}: corpus DocID {missing[0]!r} is missing from the snapshot")
     _finish(trie)
     return trie
 

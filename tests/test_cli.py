@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -194,6 +196,16 @@ def test_log_env_variable_accepted(workdir, monkeypatch):
     assert run(["ingest", "--corpus", workdir / "corpus.jsonl", "--out", out]) == 0
 
 
+def test_debug_log_times_every_build_stage(workdir, monkeypatch, caplog):
+    monkeypatch.setenv("CORPUSLM_LOG", "DEBUG")
+    caplog.set_level(logging.DEBUG, logger="docidlm")
+    assert run(["retrieve", "--corpus", workdir / "corpus.jsonl",
+                "--gold", workdir / "gold.jsonl", "--out", workdir / "results.jsonl"]) == 0
+    timed = [re.fullmatch(r"build stage (\w+) took \d+\.\d{3} s", r.getMessage())
+             for r in caplog.records if r.name == "docidlm.cli" and r.levelno == logging.DEBUG]
+    assert [m.group(1) for m in timed if m] == ["vocab", "bm25", "examples", "ngram_fit", "trie"]
+
+
 def test_retrieval_quality_on_fixture(workdir):
     # the reference scorer trained on this fixture should put the gold
     # provenance document first for each query
@@ -223,3 +235,24 @@ def test_demo_data_records_match_golden(tmp_path, name, command):
     config_line, records = out.read_bytes().split(b"\n", 1)
     assert b'"_config"' in config_line
     assert records == (GOLDEN / f"{name}.jsonl").read_bytes()
+
+
+def test_demo_data_traindata_matches_golden(tmp_path):
+    # pins the training examples, so the BM25 order of every ranked target
+    out = tmp_path / "traindata.jsonl"
+    assert run(["traindata", "--corpus", DEMO_DATA / "corpus.jsonl",
+                "--gold", DEMO_DATA / "gold.jsonl", "--out", out]) == 0
+    config_line, records = out.read_bytes().split(b"\n", 1)
+    assert b'"_config"' in config_line
+    assert records == (GOLDEN / "traindata.jsonl").read_bytes()
+
+
+def test_demo_data_losses_match_golden(tmp_path):
+    # pins every loss the fitted n-gram model gives the examples, to the last bit
+    out = tmp_path / "loss.json"
+    assert run(["loss", "--corpus", DEMO_DATA / "corpus.jsonl",
+                "--gold", DEMO_DATA / "gold.jsonl", "--out", out]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    del payload["config"]
+    pinned = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert pinned.encode("utf-8") == (GOLDEN / "loss.json").read_bytes()

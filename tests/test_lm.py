@@ -131,6 +131,72 @@ class TestScorerContract:
         assert lm.next_logprobs([7]).min() >= LOG_FLOOR
 
 
+def oracle_fit(vocab, texts, order, alpha=0.1):
+    """The per-token dict-of-dicts fit the sorting fit replaced."""
+    counts = {}
+    for seq in texts:
+        for j, token in enumerate(seq):
+            for ctx_len in range(0, min(order - 1, j) + 1):
+                table = counts.setdefault(tuple(seq[j - ctx_len : j]), {})
+                table[token] = table.get(token, 0) + 1
+
+    def next_logprobs(context):
+        history = tuple(context[max(0, len(context) - (order - 1)) :])
+        table = next((counts[history[s:]] for s in range(len(history) + 1)
+                      if history[s:] in counts), {})
+        ids = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
+        vals = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+        denom = math.log(int(vals.sum()) + alpha * vocab.size)
+        vector = np.full(vocab.size, math.log(alpha) - denom)
+        if len(ids):
+            vector[ids] = np.log(vals + alpha) - denom
+        return np.maximum(vector, LOG_FLOOR)
+
+    return next_logprobs
+
+
+class TestSortingFitMatchesOracle:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_random_texts_bitwise(self, order):
+        rng = random.Random(100 + order)
+        vocab = small_vocab(9)
+        for _ in range(10):
+            # empty texts and texts shorter than the order are mixed in
+            texts = [[rng.randrange(0, vocab.size) for _ in range(rng.randint(0, 12))]
+                     for _ in range(rng.randint(0, 15))]
+            lm = train_ngram(vocab, texts, order=order, alpha=0.1)
+            oracle = oracle_fit(vocab, texts, order)
+            seen = [t[max(0, j - order + 1) : j] for t in texts for j in range(len(t) + 1)]
+            fresh = [[rng.randrange(0, vocab.size) for _ in range(rng.randint(0, 5))]
+                     for _ in range(30)]
+            for context in seen + fresh:
+                assert lm.next_logprobs(context).tobytes() == oracle(context).tobytes()
+
+    def test_fit_on_nothing_is_uniform(self):
+        vocab = small_vocab(3)
+        for texts in ([], [[]], [[], []]):
+            lm = NgramLm(vocab, order=3).fit(texts)
+            assert lm.next_logprobs([7, 8]).tobytes() == oracle_fit(vocab, texts, 3)([7, 8]).tobytes()
+            assert np.allclose(lm.next_logprobs([]), math.log(1 / vocab.size))
+
+    def test_refit_replaces_the_model(self):
+        vocab = small_vocab(4)
+        a, b, c, d = 7, 8, 9, 10
+        refit = NgramLm(vocab, order=2).fit([[a, b]]).fit([[c, d]])
+        fresh = NgramLm(vocab, order=2).fit([[c, d]])
+        for context in ([a], [c], [d], []):
+            assert refit.next_logprobs(context).tobytes() == fresh.next_logprobs(context).tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 12, 99])
+    def test_fit_rejects_out_of_range_token(self, bad):
+        vocab = small_vocab(5)  # size 12
+        lm = NgramLm(vocab, order=2).fit([[7, 8]])
+        before = lm.next_logprobs([7]).tobytes()
+        with pytest.raises(ValueError, match=f"^context token id {bad} outside vocabulary of size 12$"):
+            lm.fit([[7, 8], [], [9, bad, 10, -5]])
+        assert lm.next_logprobs([7]).tobytes() == before
+
+
 # ---------------------------------------------------------------------------
 # Remote adapter
 

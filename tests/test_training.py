@@ -1,11 +1,14 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from docidlm.corpus import UnknownDocIdError
 from docidlm.lm import UniformLm, train_ngram
-from docidlm.tokens import ANSWER_OPEN, EOS, REF_CLOSE, REF_OPEN, build_vocabulary, encode
+from docidlm.tokens import (
+    ANSWER_OPEN, EOS, REF_CLOSE, REF_OPEN, build_vocabulary, encode, split_words,
+)
 from docidlm.training import (
     LexicalOverlapReranker,
     Task,
@@ -27,7 +30,7 @@ from docidlm.training import (
     stopwords,
 )
 
-from conftest import corpus_from_rows, random_corpus
+from conftest import _WORD_POOL, _SECTION_POOL, _TITLE_POOL, corpus_from_rows, random_corpus
 from test_decoder import tiny_vocab_of_size
 
 
@@ -62,7 +65,9 @@ class TestBm25:
             ("3", "c", "z", "shared two"),
         ])
         index = build_bm25_index(corpus)
-        assert [d for d, _ in index.postings["shared"]] == ["a # x", "c # z"]
+        docs, tfs = index.postings["shared"]
+        assert [index.doc_ids[i] for i in docs] == ["a # x", "c # z"]
+        assert tfs.tolist() == [1, 1]
 
     def test_closed_form_single_hit_at_average_length(self):
         # tf=1, |d|=avgdl collapses length normalization: score = idf = ln(8/3)
@@ -86,6 +91,75 @@ class TestBm25:
         ranked = bm25_retrieve(index, "term", 2)
         assert [d for d, _ in ranked] == ["a # s", "b # s"]
         assert ranked[0][1] == ranked[1][1]
+
+
+def oracle_bm25_retrieve(corpus, query, k, k1=1.2, b=0.75):
+    """The per-posting dict scorer the postings-array scorer replaced."""
+    postings, doc_lengths = {}, {}
+    for doc_id in sorted(corpus.documents):
+        doc = corpus.documents[doc_id]
+        terms = split_words(doc.title) + split_words(doc.section) + split_words(doc.body)
+        doc_lengths[doc_id] = len(terms)
+        for term, tf in sorted(Counter(terms).items()):
+            postings.setdefault(term, []).append((doc_id, tf))
+    n = len(doc_lengths)
+    avgdl = sum(doc_lengths.values()) / n
+    scores = {}
+    for term in split_words(query):
+        if term not in postings:
+            continue
+        n_t = len(postings[term])
+        idf = math.log((n - n_t + 0.5) / (n_t + 0.5) + 1.0)
+        for doc_id, tf in postings[term]:
+            norm = k1 * (1 - b + b * doc_lengths[doc_id] / avgdl)
+            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (k1 + 1) / (tf + norm)
+    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
+def random_query(rng):
+    """Corpus words, one of them repeated, and sometimes a word no document has."""
+    words = rng.choices(_WORD_POOL + _TITLE_POOL + _SECTION_POOL, k=rng.randint(1, 5))
+    words.append(rng.choice(words))
+    if rng.random() < 0.3:
+        words.insert(rng.randrange(len(words)), "missing")
+    rng.shuffle(words)
+    return " ".join(words)
+
+
+def assert_retrieval_matches_oracle(corpus, rng, queries, k1=1.2, b=0.75):
+    """Exact (doc_id, score) lists; returns how many adjacent ranks tied."""
+    index = build_bm25_index(corpus, k1=k1, b=b)
+    ties = 0
+    for _ in range(queries):
+        query = random_query(rng)
+        k = rng.randint(1, len(corpus) + 2)
+        ranked = bm25_retrieve(index, query, k)
+        assert ranked == oracle_bm25_retrieve(corpus, query, k, k1=k1, b=b)
+        assert all(type(score) is float for _, score in ranked)
+        ties += sum(x[1] == y[1] for x, y in zip(ranked, ranked[1:]))
+    return ties
+
+
+class TestBm25MatchesOracle:
+    def test_random_corpora(self):
+        rng = random.Random(71)
+        ties = 0
+        for _ in range(30):
+            corpus = random_corpus(rng, rng.randint(1, 40))
+            ties += assert_retrieval_matches_oracle(corpus, rng, 10, k1=rng.choice([1.2, 0.9]),
+                                                    b=rng.choice([0.75, 0.0, 1.0]))
+        assert ties > 0  # tie order was exercised
+
+    def test_two_thousand_documents(self):
+        rng = random.Random(73)
+        bodies = [" ".join(rng.choices(_WORD_POOL, k=rng.randint(3, 20))) + "."
+                  for _ in range(600)]
+        # bodies are reused, so equal scores (ties broken by DocID) are common
+        corpus = corpus_from_rows([
+            (str(i), f"t{i}", rng.choice(_SECTION_POOL), rng.choice(bodies))
+            for i in range(2000)
+        ])
+        assert assert_retrieval_matches_oracle(corpus, rng, 40) > 0
 
 
 class StubReranker:

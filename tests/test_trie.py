@@ -355,6 +355,33 @@ def test_malformed_snapshot_rejected_with_line(tmp_path, lines, bad_line):
         load_trie(path)
 
 
+class TestSnapshotBindsOnlyCorpusDocIds:
+    def setup_method(self):
+        self.full = corpus_from_rows([("1", "a", "x", "t."), ("2", "b", "y", "t.")])
+        self.vocab = build_vocabulary(self.full, [])
+
+    def test_terminal_path_outside_the_corpus(self, tmp_path):
+        path = tmp_path / "trie.txt"
+        dump_trie(build_trie(self.full, self.vocab), path)
+        # the snapshot's second DocID, "b # y", ends on line 6
+        partial = corpus_from_rows([("1", "a", "x", "t.")])
+        with pytest.raises(TrieError, match=f"^{re.escape(str(path))}:6: terminal path spells "
+                                            "no corpus DocID$"):
+            load_trie(path, corpus=partial, vocab=self.vocab)
+
+    def test_corpus_docid_missing_from_the_snapshot(self, tmp_path):
+        path = tmp_path / "trie.txt"
+        dump_trie(build_trie(corpus_from_rows([("1", "a", "x", "t.")]), self.vocab), path)
+        with pytest.raises(TrieError, match=re.escape(f"{path}: corpus DocID 'b # y' is missing")):
+            load_trie(path, corpus=self.full, vocab=self.vocab)
+
+    def test_without_a_corpus_terminals_stay_placeholders(self, tmp_path):
+        path = tmp_path / "trie.txt"
+        dump_trie(build_trie(self.full, self.vocab), path)
+        assert len(load_trie(path)) == 2
+        assert len(load_trie(path, corpus=self.full)) == 2
+
+
 def return_trip(trie, corpus, vocab, tmp_dir="/tmp"):
     import tempfile
 

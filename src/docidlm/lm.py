@@ -8,12 +8,16 @@ minimum so downstream sums never see -inf.
 
 from __future__ import annotations
 
+import http.client
+import json
 import math
+import threading
+from functools import partial
 from itertools import chain, repeat
 from typing import Protocol, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
 
 from .tokens import Vocabulary
 
@@ -25,7 +29,7 @@ class RemoteError(RuntimeError):
 
 
 class RemoteTimeoutError(RemoteError):
-    """Endpoint unreachable or no response within the deadline."""
+    """Endpoint unreachable, connection lost, or no response within the deadline."""
 
 
 class RemoteProtocolError(RemoteError):
@@ -45,9 +49,9 @@ class LmScorer(Protocol):
 
 
 def _check_context(vocab_size: int, context: Sequence[int]) -> None:
-    for token in context:
-        if not 0 <= token < vocab_size:
-            raise ValueError(f"context token id {token} outside vocabulary of size {vocab_size}")
+    if len(context) and (min(context) < 0 or max(context) >= vocab_size):
+        token = next(token for token in context if not 0 <= token < vocab_size)
+        raise ValueError(f"context token id {token} outside vocabulary of size {vocab_size}")
 
 
 class UniformLm:
@@ -164,21 +168,88 @@ def train_ngram(vocab: Vocabulary, texts: Sequence[Sequence[int]],
     return NgramLm(vocab, order=order, alpha=alpha).fit(texts)
 
 
-def remote_logprobs(endpoint: str, context: Sequence[int], vocab_size: int,
-                    timeout: float = 30.0) -> np.ndarray:
-    """Fetch one logprob vector from a remote scorer.
+_CONNECTION_CLASSES = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+_JSON_HEADERS = {"Content-Type": "application/json"}
+# The server closed a kept-alive socket before answering
+# (http.client.RemoteDisconnected is a ConnectionResetError).
+_STALE_SOCKET = (BrokenPipeError, ConnectionResetError)
 
-    Protocol: POST ``{"context": [int, ...]}`` as JSON; the response must be
-    ``{"logprobs": [float, ...]}`` with exactly ``vocab_size`` entries.
+
+class _Transport:
+    """POSTs JSON bodies to one endpoint over one connection per thread.
+
+    A server that keeps the connection alive (HTTP/1.1 without
+    ``Connection: close``) is reached over the same socket on every call; any
+    other server gets a fresh connect per call. A reused socket the server has
+    since closed is retried once on a fresh connection; nothing else is
+    retried.
     """
+
+    def __init__(self, endpoint: str, timeout: float):
+        parts = urlsplit(endpoint)
+        connection_class = _CONNECTION_CLASSES.get(parts.scheme)
+        if connection_class is None or not parts.hostname:
+            raise ValueError(f"remote scorer endpoint {endpoint!r} is not an "
+                             "http:// or https:// URL with a host")
+        self.endpoint = endpoint
+        self._connect = partial(connection_class, parts.hostname,
+                                parts.port or connection_class.default_port, timeout=timeout)
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._lock = threading.Lock()
+        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection; closes those of finished threads."""
+        thread = threading.current_thread()
+        connection = self._connections.get(thread)
+        if connection is None:
+            connection = self._connect()
+            with self._lock:
+                for finished in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(finished).close()
+                self._connections[thread] = connection
+        return connection
+
+    def post(self, body: bytes) -> tuple[int, bytes]:
+        """Send ``body``; return the reply's status and body."""
+        connection = self._connection()
+        reused = connection.sock is not None
+        try:
+            try:
+                response = self._send(connection, body)
+            except _STALE_SOCKET:
+                if not reused:
+                    raise
+                connection.close()
+                response = self._send(connection, body)
+            return response.status, response.read()
+        except OSError as exc:
+            connection.close()
+            raise RemoteTimeoutError(f"remote scorer at {self.endpoint} unreachable: {exc}") from exc
+        except http.client.HTTPException as exc:
+            connection.close()
+            raise RemoteProtocolError(f"malformed response from {self.endpoint}: {exc}") from exc
+
+    def _send(self, connection: http.client.HTTPConnection,
+              body: bytes) -> http.client.HTTPResponse:
+        connection.request("POST", self._target, body, _JSON_HEADERS)
+        return connection.getresponse()
+
+    def close(self) -> None:
+        """Close every thread's connection; the next call connects afresh."""
+        with self._lock:
+            connections, self._connections = list(self._connections.values()), {}
+        for connection in connections:
+            connection.close()
+
+
+def _fetch_logprobs(transport: _Transport, context: Sequence[int], vocab_size: int) -> np.ndarray:
+    endpoint = transport.endpoint
+    status, data = transport.post(json.dumps({"context": list(context)}).encode())
+    if not 200 <= status < 300:
+        raise RemoteProtocolError(f"remote scorer at {endpoint} answered HTTP status {status}")
     try:
-        response = requests.post(endpoint, json={"context": list(context)}, timeout=timeout)
-    except (requests.Timeout, requests.ConnectionError) as exc:
-        raise RemoteTimeoutError(f"remote scorer at {endpoint} unreachable: {exc}") from exc
-    try:
-        payload = response.json()
-        logprobs = payload["logprobs"]
-        vector = np.asarray(logprobs, dtype=np.float64)
+        vector = np.asarray(json.loads(data)["logprobs"], dtype=np.float64)
     except (ValueError, KeyError, TypeError) as exc:
         raise RemoteProtocolError(f"malformed response from {endpoint}: {exc}") from exc
     if vector.ndim != 1 or len(vector) != vocab_size:
@@ -190,14 +261,38 @@ def remote_logprobs(endpoint: str, context: Sequence[int], vocab_size: int,
     return np.maximum(vector, LOG_FLOOR)
 
 
+def remote_logprobs(endpoint: str, context: Sequence[int], vocab_size: int,
+                    timeout: float = 30.0) -> np.ndarray:
+    """Fetch one logprob vector from a remote scorer over a one-shot connection.
+
+    Protocol: POST ``{"context": [int, ...]}`` as JSON; the reply must have a
+    2xx status and the body ``{"logprobs": [float, ...]}`` with exactly
+    ``vocab_size`` entries.
+    """
+    transport = _Transport(endpoint, timeout)
+    try:
+        return _fetch_logprobs(transport, context, vocab_size)
+    finally:
+        transport.close()
+
+
 class RemoteLm:
-    """LmScorer backed by a network endpoint speaking the logprobs protocol."""
+    """LmScorer backed by a network endpoint speaking the logprobs protocol.
+
+    The endpoint is checked on construction. Each thread keeps one connection
+    to it; ``close`` closes them all.
+    """
 
     def __init__(self, vocab: Vocabulary, endpoint: str, timeout: float = 30.0):
         self.vocab = vocab
         self.endpoint = endpoint
         self.timeout = timeout
+        self._transport = _Transport(endpoint, timeout)
 
     def next_logprobs(self, context: Sequence[int]) -> np.ndarray:
         _check_context(self.vocab.size, context)
-        return remote_logprobs(self.endpoint, context, self.vocab.size, timeout=self.timeout)
+        return _fetch_logprobs(self._transport, context, self.vocab.size)
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call connects afresh."""
+        self._transport.close()

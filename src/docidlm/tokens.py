@@ -32,6 +32,9 @@ SPECIAL_SURFACES = (
 SPECIAL_IDS = tuple(range(len(SPECIAL_SURFACES)))
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
+# A special surface that is a whole whitespace-delimited chunk of the text.
+_SPECIAL_CHUNK_RE = re.compile(r"(?<!\S)(" + "|".join(map(re.escape, SPECIAL_SURFACES)) + r")(?!\S)")
+_SPECIAL_ID = {surface: i for i, surface in enumerate(SPECIAL_SURFACES)}
 
 
 class InvalidTokenError(ValueError):
@@ -97,13 +100,21 @@ def build_vocabulary(corpus, extra_texts: list[str] | None = None) -> Vocabulary
 
 
 def encode(vocab: Vocabulary, text: str) -> list[int]:
-    """Tokenize text to ids; special surface forms map to their reserved ids."""
+    """Tokenize text to ids; special surface forms map to their reserved ids.
+
+    A special surface counts only as a whole whitespace-delimited chunk;
+    glued to anything else it is split like any other text. No match of the
+    word pattern spans whitespace, and lowercasing looks no further than the
+    surrounding whitespace, so each stretch between specials is split in one
+    pass, with the same result as splitting it chunk by chunk.
+    """
     ids: list[int] = []
-    for chunk in text.split():
-        if chunk in SPECIAL_SURFACES:
-            ids.append(SPECIAL_SURFACES.index(chunk))
-            continue
-        ids.extend(vocab.id_of(tok) for tok in split_words(chunk))
+    lookup = vocab.token_to_id.get
+    for i, part in enumerate(_SPECIAL_CHUNK_RE.split(text)):
+        if i % 2:
+            ids.append(_SPECIAL_ID[part])
+        else:
+            ids.extend([lookup(word, UNK) for word in _WORD_RE.findall(part.lower())])
     return ids
 
 

@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,31 @@ class TestUniform:
         lm = UniformLm(small_vocab(0))
         with pytest.raises(ValueError):
             lm.next_logprobs([99])
+
+
+class TestContextCheck:
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("context, first_bad", [
+        ([-1], -1),
+        ([7], 7),
+        ([0, 6, 3, 7, -2, 99], 7),
+        ([1, 2, -3, 8], -3),
+        ([5, 5, 5, 5, 100, 1], 100),
+    ])
+    def test_message_names_first_out_of_range_id(self, context, first_bad, as_array):
+        lm = UniformLm(small_vocab(0))  # size 7
+        if as_array:
+            context = np.array(context, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"^context token id {first_bad} outside vocabulary of size 7$"):
+            lm.next_logprobs(context)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_in_range_contexts_pass(self, as_array):
+        lm = UniformLm(small_vocab(0))
+        for context in ([], [0], [6], [0, 6, 3, 6, 0]):
+            if as_array:
+                context = np.array(context, dtype=np.int64)
+            assert lm.next_logprobs(context).shape == (7,)
 
 
 class TestNgramArithmetic:
@@ -202,8 +231,15 @@ class TestSortingFitMatchesOracle:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """HTTP/1.0 scorer: the server closes the connection after every reply."""
+
     behavior = "uniform"
     vocab_size = 7
+    connections = 0
+
+    def setup(self):
+        super().setup()
+        type(self).connections += 1
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -211,6 +247,8 @@ class _Handler(BaseHTTPRequestHandler):
         assert isinstance(body.get("context"), list)
         if self.behavior == "slow":
             time.sleep(1.0)
+        # "error500" puts a well-formed body behind a failure status
+        status = 500 if self.behavior == "error500" else 200
         if self.behavior == "uniform":
             payload = {"logprobs": [math.log(1 / self.vocab_size)] * self.vocab_size}
         elif self.behavior == "short":
@@ -223,7 +261,7 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             payload = {"logprobs": [math.log(1 / self.vocab_size)] * self.vocab_size}
         data = json.dumps(payload).encode()
-        self.send_response(200)
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -235,11 +273,13 @@ class _Handler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def remote_server():
+    _Handler.connections = 0
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/"
     server.shutdown()
+    server.server_close()
 
 
 class TestRemote:
@@ -275,3 +315,196 @@ class TestRemote:
         lm = RemoteLm(vocab, remote_server, timeout=2.0)
         vector = lm.next_logprobs([0, 1])
         assert vector.shape == (7,)
+
+    def test_failure_status_with_well_formed_body_is_rejected(self, remote_server):
+        _Handler.behavior = "error500"
+        with pytest.raises(RemoteProtocolError, match=f"{remote_server}.*500"):
+            remote_logprobs(remote_server, [], vocab_size=7)
+        lm = RemoteLm(small_vocab(0), remote_server, timeout=2.0)
+        with pytest.raises(RemoteProtocolError, match="500"):
+            lm.next_logprobs([0])
+
+    def test_closing_server_gets_one_connection_per_call(self, remote_server):
+        _Handler.behavior = "uniform"
+        lm = RemoteLm(small_vocab(0), remote_server, timeout=2.0)
+        for i in range(20):
+            assert np.allclose(lm.next_logprobs([i % 7]), math.log(1 / 7))
+        assert _Handler.connections == 20
+
+    def test_https_endpoint_speaks_tls(self, remote_server):
+        # a TLS handshake against the plain-HTTP server fails as a transport error
+        endpoint = remote_server.replace("http://", "https://")
+        with pytest.raises(RemoteTimeoutError):
+            RemoteLm(small_vocab(0), endpoint, timeout=2.0).next_logprobs([0])
+
+    @pytest.mark.parametrize("endpoint", [
+        "ftp://127.0.0.1/", "127.0.0.1:8000/", "localhost", "http:///score", "http://",
+        "http://127.0.0.1:port/", "",
+    ])
+    def test_bad_endpoint_rejected_on_construction(self, endpoint):
+        with pytest.raises(ValueError):
+            RemoteLm(small_vocab(0), endpoint)
+        with pytest.raises(ValueError):
+            remote_logprobs(endpoint, [], vocab_size=7)
+
+
+def _context_vector(context, vocab_size=7):
+    """A reply that depends on the context, so it can be matched to its request."""
+    return [-(i + 1) / (1 + sum(context)) for i in range(vocab_size)]
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 scorer that counts connections and requests.
+
+    ``server.mode``: "serve" keeps every connection open; "idle-close"
+    closes the socket after each reply without saying so, as a server does
+    when a kept-alive connection idles out; "drop" answers the first request
+    and drops every later one without a reply; "slow" answers the first
+    request at once and every later one after a second.
+    """
+
+    protocol_version = "HTTP/1.1"
+    # headers and body go out in two writes; Nagle would hold the body back
+    # until the client's delayed acknowledgement of the headers
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        context = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["context"]
+        with self.server.lock:
+            self.server.requests += 1
+            first = self.server.requests == 1
+        if self.server.mode == "drop" and not first:
+            self.close_connection = True
+            return
+        if self.server.mode == "slow" and not first:
+            time.sleep(1.0)
+        data = json.dumps({"logprobs": _context_vector(context)}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        if self.server.mode == "idle-close":
+            self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def keepalive_server():
+    """Start HTTP/1.1 servers by mode; yields a function returning (server, endpoint)."""
+    started = []
+
+    def start(mode="serve"):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+        server.mode, server.connections, server.requests = mode, 0, 0
+        server.lock = threading.Lock()
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        started.append((server, thread))
+        return server, f"http://127.0.0.1:{server.server_port}/score"
+
+    yield start
+    for server, thread in started:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+class TestKeepAlive:
+    def test_one_connection_for_many_calls(self, keepalive_server):
+        server, endpoint = keepalive_server()
+        lm = RemoteLm(small_vocab(0), endpoint, timeout=2.0)
+        try:
+            for i in range(20):
+                assert lm.next_logprobs([i % 7]).tolist() == _context_vector([i % 7])
+        finally:
+            lm.close()
+        assert (server.connections, server.requests) == (1, 20)
+
+    def test_stale_socket_is_retried_once(self, keepalive_server):
+        server, endpoint = keepalive_server("idle-close")
+        lm = RemoteLm(small_vocab(0), endpoint, timeout=2.0)
+        try:
+            for i in range(5):
+                assert lm.next_logprobs([i]).tolist() == _context_vector([i])
+        finally:
+            lm.close()
+        # every call after the first found its kept socket closed and reconnected once
+        assert (server.connections, server.requests) == (5, 5)
+
+    def test_dropped_connection_fails_after_two_attempts(self, keepalive_server):
+        server, endpoint = keepalive_server("drop")
+        lm = RemoteLm(small_vocab(0), endpoint, timeout=2.0)
+        try:
+            lm.next_logprobs([1])
+            with pytest.raises(RemoteTimeoutError):
+                lm.next_logprobs([2])
+            # the reused socket and one fresh connection
+            assert server.requests == 3
+            with pytest.raises(RemoteTimeoutError):
+                lm.next_logprobs([3])
+            # a fresh connection is never retried
+            assert server.requests == 4
+        finally:
+            lm.close()
+
+    def test_dropping_server_fails_fresh_call_without_retry(self, keepalive_server):
+        server, endpoint = keepalive_server("drop")
+        server.requests = 1  # drop from the first request on
+        with pytest.raises(RemoteTimeoutError):
+            remote_logprobs(endpoint, [], vocab_size=7, timeout=2.0)
+        assert (server.connections, server.requests) == (1, 2)
+
+    def test_timeout_on_reused_socket_is_not_retried(self, keepalive_server):
+        server, endpoint = keepalive_server("slow")
+        lm = RemoteLm(small_vocab(0), endpoint, timeout=0.2)
+        try:
+            lm.next_logprobs([1])
+            start = time.monotonic()
+            with pytest.raises(RemoteTimeoutError):
+                lm.next_logprobs([2])
+            assert time.monotonic() - start < 0.35
+        finally:
+            lm.close()
+        assert (server.connections, server.requests) == (1, 2)
+
+    def test_threads_sharing_one_scorer(self, keepalive_server):
+        server, endpoint = keepalive_server()
+        lm = RemoteLm(small_vocab(0), endpoint, timeout=5.0)
+        wrong = []
+
+        def work(offset):
+            for i in range(40):
+                context = [offset, i % 7]
+                if lm.next_logprobs(context).tolist() != _context_vector(context):
+                    wrong.append(context)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(offset,)) for offset in (0, 6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            lm.close()
+        assert wrong == []
+        assert (server.connections, server.requests) == (2, 80)
+
+
+def test_import_does_not_load_requests():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", "import docidlm, sys; assert 'requests' not in sys.modules"],
+                   env=env, check=True, timeout=60)

@@ -106,3 +106,46 @@ def test_build_is_deterministic():
     v1 = build_vocabulary(corpus, ["hello"])
     v2 = build_vocabulary(corpus, ["hello"])
     assert v1.tokens == v2.tokens
+
+
+def oracle_encode(vocab, text):
+    """The chunk-by-chunk encode the one-pass split replaced."""
+    ids = []
+    for chunk in text.split():
+        if chunk in SPECIAL_SURFACES:
+            ids.append(SPECIAL_SURFACES.index(chunk))
+            continue
+        ids.extend(vocab.id_of(tok) for tok in split_words(chunk))
+    return ids
+
+
+# Whitespace str.split() and the regex both honour, including unicode spaces.
+_SPACES = [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+           "\u2009", "\u2028", "\u3000"]
+_PIECES = list(SPECIAL_SURFACES) + [
+    "<DOCID>", "</Docid>", "<unk>.", "(<ref>)", "<docid></docid>", "<answer><answer>", "x<s>",
+    "</s>,", "'</ref>'", "word", "Word", "don't", "a#b", "ΑΣ", "ΟΔΟΣ.", "σΣσ", "Σ", "İstanbul",
+    "İ", "ß", "ﬁ", "٣٤", "é", "_x_", "—", "#", ".", "<", ">", "/",
+]
+
+
+def test_encode_matches_chunkwise_oracle_on_random_texts():
+    rng = random.Random(23)
+    vocab = build_vocabulary(None, ["word don ' t a # b istanbul i σσς αε οδος , . ( )"])
+    for _ in range(3000):
+        pieces = rng.choices(_PIECES, k=rng.randint(0, 10))
+        # join with whitespace, or glue neighbouring pieces together
+        text = rng.choice(["", " ", "\n"])
+        for piece in pieces:
+            text += piece + rng.choice(_SPACES + [""] * 4)
+        assert encode(vocab, text) == oracle_encode(vocab, text), repr(text)
+
+
+def test_encode_specials_only_as_whole_chunks():
+    vocab = build_vocabulary(None, ["docid"])
+    docid = vocab.token_to_id["docid"]
+    lt, gt = vocab.token_to_id.get("<", UNK), vocab.token_to_id.get(">", UNK)
+    assert encode(vocab, "\t<docid>\u3000</s>\n") == [DOCID_OPEN, EOS]
+    assert encode(vocab, "<DOCID>") == [lt, docid, gt]
+    assert encode(vocab, "<docid><docid>") == [lt, docid, gt, lt, docid, gt]
+    assert encode(vocab, "ΑΣ </s> Σ") == oracle_encode(vocab, "ΑΣ </s> Σ")

@@ -55,7 +55,6 @@ from .lm import (
     RemoteTimeoutError,
     UniformLm,
     VocabularyMismatchError,
-    remote_logprobs,
     train_ngram,
 )
 from .metrics import (

@@ -22,6 +22,7 @@ from time import perf_counter
 from . import metrics, training
 from .corpus import Corpus, GoldRecord, ingest_corpus, load_gold
 from .decoder import (
+    TASK_PREFIXES,
     generate_docid_list,
     generate_rag,
     generate_rag_pipeline,
@@ -32,8 +33,6 @@ from .tokens import Vocabulary, build_vocabulary, save_vocabulary
 from .trie import DocIdTrie, build_trie, dump_trie
 
 logger = logging.getLogger(__name__)
-
-TASK_PREFIX_TEXTS = ("retrieve:", "answer:", "rag:", "recite:", "related:")
 
 
 @dataclass
@@ -98,7 +97,7 @@ def read_jsonl_records(path) -> list[dict]:
 
 def engine_vocabulary(corpus: Corpus, gold_records: list[GoldRecord]) -> Vocabulary:
     """Corpus vocabulary extended with task prefixes, queries, and answers."""
-    extra = list(TASK_PREFIX_TEXTS)
+    extra = list(TASK_PREFIXES)
     for record in gold_records:
         extra.append(record.input)
         extra.extend(record.answers)
@@ -193,6 +192,8 @@ def engine_trie(components: EngineComponents) -> DocIdTrie:
 
 
 def cmd_ingest(config: RunConfig) -> None:
+    if not config.corpus:
+        raise SystemExit("missing --corpus")
     corpus = ingest_corpus(config.corpus)
     records = [
         {

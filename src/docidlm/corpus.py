@@ -88,9 +88,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def doc_ids(self) -> list[str]:
-        return list(self.documents)
-
 
 def make_document(source_id: str, title: str, section: str, text: str) -> Document:
     doc_id = canonical_docid(title, section)
@@ -124,11 +121,22 @@ def build_corpus(documents: list[Document]) -> Corpus:
 MAX_IN_MEMORY_DOCUMENTS = 1_000_000
 
 
-def ingest_corpus(path, format: str = "corpus-lines",
-                  max_in_memory_documents: int = MAX_IN_MEMORY_DOCUMENTS) -> Corpus:
+def _string_field(record: dict, name: str, default: str | None = None) -> str:
+    """``record[name]``, which must be a string; ``default`` stands in when absent."""
+    value = record[name] if default is None else record.get(name, default)
+    if not isinstance(value, str):
+        raise CorpusError(f"field {name!r} must be a string, not {type(value).__name__}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise CorpusError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def ingest_corpus(path, max_in_memory_documents: int = MAX_IN_MEMORY_DOCUMENTS) -> Corpus:
     """Read a line-delimited corpus file into an immutable Corpus."""
-    if format != "corpus-lines":
-        raise CorpusError(f"unsupported corpus format: {format!r}")
     documents: list[Document] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -141,14 +149,14 @@ def ingest_corpus(path, format: str = "corpus-lines",
                     "a persisted on-disk document store is required at this scale"
                 )
             try:
-                record = json.loads(line)
+                record = _object(json.loads(line), "record")
                 doc = make_document(
                     source_id=str(record["id"]),
-                    title=record["title"],
-                    section=record["section"],
-                    text=record["text"],
+                    title=_string_field(record, "title"),
+                    section=_string_field(record, "section"),
+                    text=_string_field(record, "text"),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed corpus record: {exc}") from exc
             documents.append(doc)
     return build_corpus(documents)
@@ -186,19 +194,25 @@ def load_gold(path) -> list[GoldRecord]:
     return records
 
 
-def _parse_gold_record(raw: dict) -> GoldRecord:
+def _parse_gold_record(raw) -> GoldRecord:
+    raw = _object(raw, "record")
+    outputs = raw.get("output", [])
+    if not isinstance(outputs, list):
+        raise CorpusError(f"field 'output' must be a list, not {type(outputs).__name__}")
     answers: list[str] = []
     groups: list[tuple[str, ...]] = []
     flat: list[str] = []
     seen: set[str] = set()
-    for output in raw.get("output", []):
-        answer = output.get("answer")
+    for output in outputs:
+        output = _object(output, "output entry")
+        answer = _string_field(output, "answer", "")
         if answer:
             answers.append(answer)
-        group = [
-            canonical_docid(entry["title"], entry.get("section", ""))
-            for entry in output.get("provenance", [])
-        ]
+        group = []
+        for entry in output.get("provenance", []):
+            entry = _object(entry, "provenance entry")
+            group.append(canonical_docid(_string_field(entry, "title"),
+                                         _string_field(entry, "section", "")))
         if group:
             groups.append(tuple(group))
             for doc_id in group:
@@ -207,7 +221,7 @@ def _parse_gold_record(raw: dict) -> GoldRecord:
                     flat.append(doc_id)
     return GoldRecord(
         query_id=str(raw["id"]),
-        input=raw["input"],
+        input=_string_field(raw, "input"),
         answers=tuple(answers),
         provenance=tuple(flat),
         provenance_groups=tuple(groups),

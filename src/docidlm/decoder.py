@@ -32,6 +32,9 @@ from .trie import DocIdTrie, ExclusionSet
 RETRIEVE_PREFIX = "retrieve:"
 ANSWER_PREFIX = "answer:"
 RAG_PREFIX = "rag:"
+RECITE_PREFIX = "recite:"
+RELATED_PREFIX = "related:"
+TASK_PREFIXES = (RETRIEVE_PREFIX, ANSWER_PREFIX, RAG_PREFIX, RECITE_PREFIX, RELATED_PREFIX)
 
 DEFAULT_K_RETRIEVE = 10
 DEFAULT_K_CONTEXT = 3
@@ -111,20 +114,16 @@ class _Session:
         self.context.extend(tokens)
         self.cost.context_tokens += len(tokens)
 
-    def choose(self, allowed: np.ndarray) -> tuple[int, float]:
-        """Greedy pick over the mask; returns (token, mask-renormalized logprob)."""
-        vector = self.lm.next_logprobs(self.context)
-        self.cost.scorer_calls += 1
-        values = vector[allowed]
-        best = int(np.argmax(values))  # first maximum, ids ascending: lowest-id tie-break
-        return int(allowed[best]), float(values[best] - _logsumexp(values))
-
     def run(self, state: GrammarState, until: Phase) -> GrammarState:
         """Decode greedily from ``state`` until the automaton reaches ``until``."""
         vocab_size = self.lm.vocab.size
         span_logprob = 0.0
         while state.phase is not until:
-            token, logprob = self.choose(allowed_mask(state, self.trie, self.excl, vocab_size))
+            allowed = allowed_mask(state, self.trie, self.excl, vocab_size)
+            values = self.lm.next_logprobs(self.context)[allowed]
+            self.cost.scorer_calls += 1
+            best = int(np.argmax(values))  # first maximum, ids ascending: lowest-id tie-break
+            token = int(allowed[best])
             if state.phase is Phase.DOCID:
                 if token == DOCID_CLOSE:
                     completed = self.trie.node_at(state.span.inner_prefix).terminal_docid
@@ -132,8 +131,8 @@ class _Session:
                     self.docids.append(completed)
                     self.scores.append(span_logprob)
                     span_logprob = 0.0
-                else:
-                    span_logprob += logprob
+                else:  # renormalized over the mask; only DocID span scores use it
+                    span_logprob += float(values[best] - _logsumexp(values))
             if token != EOS or state.phase not in SILENT_STOP:
                 self.ingest([token])
                 self.trace.append(token)
@@ -169,16 +168,18 @@ def generate_closed_book(lm: LmScorer, query: str, max_tokens: int) -> str:
     return decode(lm.vocab, [t for t in session.trace if t != ANSWER_OPEN])
 
 
+def render_document_text(doc: Document) -> str:
+    """A document as the model reads it: the header ``title # section``, then the body."""
+    return f"{doc.title} # {doc.section} {doc.body}"
+
+
 def render_document_tokens(vocab: Vocabulary, doc: Document, budget: int) -> list[int]:
-    """Header line (title # section) plus body, truncated to ``budget`` tokens.
+    """The rendered document, truncated to ``budget`` tokens.
 
     The body tail is dropped first; the header is only cut when the budget is
     smaller than the header itself.
     """
-    header = encode(vocab, f"{doc.title} # {doc.section}")
-    body = encode(vocab, doc.body)
-    rendered = header + body[: max(0, budget - len(header))]
-    return rendered[: max(0, budget)]
+    return encode(vocab, render_document_text(doc))[: max(0, budget)]
 
 
 def _generate_rag(

@@ -75,8 +75,7 @@ class NgramLm:
     all the way through to the uniform alpha / (alpha * V) = 1/V case.
     """
 
-    def __init__(self, vocab: Vocabulary, order: int = 3, alpha: float = 0.1,
-                 floor_logprob: float = LOG_FLOOR):
+    def __init__(self, vocab: Vocabulary, order: int = 3, alpha: float = 0.1):
         if order < 1:
             raise ValueError("n-gram order must be >= 1")
         if alpha <= 0:
@@ -86,7 +85,6 @@ class NgramLm:
         self.vocab = vocab
         self.order = order
         self.alpha = alpha
-        self.floor_logprob = floor_logprob
         # Per context length c: the next-token ids and log(count + alpha) of
         # each, grouped by context; a context tuple maps to (c, start, end,
         # total count), and its table is ids[c][start:end] with
@@ -159,7 +157,7 @@ class NgramLm:
         vector = np.full(self.vocab.size, math.log(self.alpha) - denom)
         if len(ids):
             vector[ids] = log_counts - denom
-        return np.maximum(vector, self.floor_logprob)
+        return np.maximum(vector, LOG_FLOOR)
 
 
 def train_ngram(vocab: Vocabulary, texts: Sequence[Sequence[int]],
@@ -243,55 +241,38 @@ class _Transport:
             connection.close()
 
 
-def _fetch_logprobs(transport: _Transport, context: Sequence[int], vocab_size: int) -> np.ndarray:
-    endpoint = transport.endpoint
-    status, data = transport.post(json.dumps({"context": list(context)}).encode())
-    if not 200 <= status < 300:
-        raise RemoteProtocolError(f"remote scorer at {endpoint} answered HTTP status {status}")
-    try:
-        vector = np.asarray(json.loads(data)["logprobs"], dtype=np.float64)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise RemoteProtocolError(f"malformed response from {endpoint}: {exc}") from exc
-    if vector.ndim != 1 or len(vector) != vocab_size:
-        raise VocabularyMismatchError(
-            f"remote returned {vector.shape} logprobs, local vocabulary has {vocab_size}"
-        )
-    if np.isnan(vector).any():
-        raise RemoteProtocolError(f"remote response from {endpoint} contains NaN")
-    return np.maximum(vector, LOG_FLOOR)
-
-
-def remote_logprobs(endpoint: str, context: Sequence[int], vocab_size: int,
-                    timeout: float = 30.0) -> np.ndarray:
-    """Fetch one logprob vector from a remote scorer over a one-shot connection.
-
-    Protocol: POST ``{"context": [int, ...]}`` as JSON; the reply must have a
-    2xx status and the body ``{"logprobs": [float, ...]}`` with exactly
-    ``vocab_size`` entries.
-    """
-    transport = _Transport(endpoint, timeout)
-    try:
-        return _fetch_logprobs(transport, context, vocab_size)
-    finally:
-        transport.close()
-
-
 class RemoteLm:
     """LmScorer backed by a network endpoint speaking the logprobs protocol.
 
-    The endpoint is checked on construction. Each thread keeps one connection
-    to it; ``close`` closes them all.
+    Protocol: POST ``{"context": [int, ...]}`` as JSON; the reply must have a
+    2xx status and the body ``{"logprobs": [float, ...]}`` with exactly one
+    entry per vocabulary id. The endpoint is checked on construction. Each
+    thread keeps one connection to it; ``close`` closes them all.
     """
 
     def __init__(self, vocab: Vocabulary, endpoint: str, timeout: float = 30.0):
         self.vocab = vocab
-        self.endpoint = endpoint
-        self.timeout = timeout
         self._transport = _Transport(endpoint, timeout)
 
     def next_logprobs(self, context: Sequence[int]) -> np.ndarray:
         _check_context(self.vocab.size, context)
-        return _fetch_logprobs(self._transport, context, self.vocab.size)
+        endpoint = self._transport.endpoint
+        # default=int writes numpy integer ids as JSON ints; list contexts are unaffected
+        body = json.dumps({"context": list(context)}, default=int).encode()
+        status, data = self._transport.post(body)
+        if not 200 <= status < 300:
+            raise RemoteProtocolError(f"remote scorer at {endpoint} answered HTTP status {status}")
+        try:
+            vector = np.asarray(json.loads(data)["logprobs"], dtype=np.float64)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise RemoteProtocolError(f"malformed response from {endpoint}: {exc}") from exc
+        if vector.ndim != 1 or len(vector) != self.vocab.size:
+            raise VocabularyMismatchError(
+                f"remote returned {vector.shape} logprobs, local vocabulary has {self.vocab.size}"
+            )
+        if np.isnan(vector).any():
+            raise RemoteProtocolError(f"remote response from {endpoint} contains NaN")
+        return np.maximum(vector, LOG_FLOOR)
 
     def close(self) -> None:
         """Close every thread's connection; a later call connects afresh."""

@@ -68,9 +68,6 @@ class Vocabulary:
             raise InvalidTokenError(f"token id {token_id} outside vocabulary of size {len(self.tokens)}")
         return self.tokens[token_id]
 
-    def is_special(self, token_id: int) -> bool:
-        return token_id in SPECIAL_IDS
-
 
 def _from_token_list(tokens: list[str]) -> Vocabulary:
     mapping = {tok: i for i, tok in enumerate(tokens)}

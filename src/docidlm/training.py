@@ -21,7 +21,8 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import Corpus, Document, UnknownDocIdError
-from .decoder import score_sequence
+from .decoder import (ANSWER_PREFIX, RAG_PREFIX, RECITE_PREFIX, RELATED_PREFIX, RETRIEVE_PREFIX,
+                      render_document_text, score_sequence)
 from .lm import LmScorer, NgramLm, train_ngram
 from .tokens import ANSWER_OPEN, EOS, REF_CLOSE, REF_OPEN, Vocabulary, encode, split_words
 
@@ -43,14 +44,6 @@ class Task(Enum):
     AUX_SUMMARY2DOCIDS = "aux_summary_to_docids"
     AUX_DOCID2SUMMARY = "aux_docid_to_summary"
     AUX_DOCID2RELATED = "aux_docid_to_related"
-
-
-AUX_TASKS = (
-    Task.AUX_QUERY2DOCIDS,
-    Task.AUX_SUMMARY2DOCIDS,
-    Task.AUX_DOCID2SUMMARY,
-    Task.AUX_DOCID2RELATED,
-)
 
 
 @dataclass(frozen=True)
@@ -201,7 +194,6 @@ def construct_ranked_docid_list(
     index: Bm25Index,
     reranker: Reranker,
     k: int,
-    rerank_candidates: int = DEFAULT_RERANK_CANDIDATES,
 ) -> list[str]:
     """Labeled DocIDs first, then reranked retrieval results, deduplicated.
 
@@ -214,7 +206,7 @@ def construct_ranked_docid_list(
     merged = list(labeled)[:k]
     if len(merged) < k:
         seen = set(merged)
-        candidates = [doc_id for doc_id, _ in bm25_retrieve(index, query, rerank_candidates)]
+        candidates = [d for d, _ in bm25_retrieve(index, query, DEFAULT_RERANK_CANDIDATES)]
         for doc_id in reranker.rerank(query, candidates):
             if doc_id not in seen:
                 merged.append(doc_id)
@@ -256,17 +248,13 @@ def parse_docid_list_target(target: str) -> list[str]:
 def make_retrieval_example(query: str, docid_list: Sequence[str]) -> TrainingExample:
     return TrainingExample(
         task=Task.RETRIEVAL,
-        input=f"retrieve: {query}",
+        input=f"{RETRIEVE_PREFIX} {query}",
         target=docid_list_target(docid_list),
     )
 
 
 def make_closed_book_example(query: str, answer: str) -> TrainingExample:
-    return TrainingExample(task=Task.CLOSED_BOOK, input=f"answer: {query}", target=answer)
-
-
-def render_document_text(doc: Document) -> str:
-    return f"{doc.title} # {doc.section} {doc.body}"
+    return TrainingExample(task=Task.CLOSED_BOOK, input=f"{ANSWER_PREFIX} {query}", target=answer)
 
 
 def make_rag_examples(
@@ -289,7 +277,7 @@ def make_rag_examples(
     sentence_pool = [s for doc in context_docs for s in doc.sentences]
     if tau > 0 and not sentence_pool:
         raise ValueError("noise sampling needs at least one extractable sentence")
-    rendered = f"rag: {query} " + " ".join(render_document_text(d) for d in context_docs)
+    rendered = f"{RAG_PREFIX} {query} " + " ".join(render_document_text(d) for d in context_docs)
 
     noised = tau > 0 and rng.random() < tau
     reference_used = rng.choice(sentence_pool) if noised else gold_reference
@@ -329,7 +317,6 @@ def make_docid_understanding_examples(
     rng: random.Random,
     reranker: Reranker | None = None,
     k: int = 10,
-    rerank_candidates: int = DEFAULT_RERANK_CANDIDATES,
 ) -> list[TrainingExample]:
     """Four unsupervised DocID-understanding tasks over sampled documents.
 
@@ -350,10 +337,7 @@ def make_docid_understanding_examples(
         return [corpus.documents[d] for d in chosen]
 
     def ranked_list(query: str, doc_id: str) -> str:
-        merged = construct_ranked_docid_list(
-            query, [doc_id], index, reranker, k, rerank_candidates=rerank_candidates
-        )
-        return docid_list_target(merged)
+        return docid_list_target(construct_ranked_docid_list(query, [doc_id], index, reranker, k))
 
     for doc in sample_docs():  # (a) pseudo query -> DocIDs
         if not doc.sentences:
@@ -364,7 +348,7 @@ def make_docid_understanding_examples(
         pseudo_query = " ".join(words) if words else " ".join(split_words(sentence))
         examples.append(TrainingExample(
             task=Task.AUX_QUERY2DOCIDS,
-            input=f"retrieve: {pseudo_query}",
+            input=f"{RETRIEVE_PREFIX} {pseudo_query}",
             target=ranked_list(pseudo_query, doc.doc_id),
         ))
 
@@ -375,7 +359,7 @@ def make_docid_understanding_examples(
         summary = document_summary(doc)
         examples.append(TrainingExample(
             task=Task.AUX_SUMMARY2DOCIDS,
-            input=f"retrieve: {summary}",
+            input=f"{RETRIEVE_PREFIX} {summary}",
             target=ranked_list(summary, doc.doc_id),
         ))
 
@@ -385,13 +369,13 @@ def make_docid_understanding_examples(
             continue
         examples.append(TrainingExample(
             task=Task.AUX_DOCID2SUMMARY,
-            input=f"recite: {doc.doc_id}",
+            input=f"{RECITE_PREFIX} {doc.doc_id}",
             target=document_summary(doc),
         ))
 
     for doc in sample_docs():  # (d) DocID -> related DocIDs
         candidates = [
-            d for d, _ in bm25_retrieve(index, doc.body, rerank_candidates)
+            d for d, _ in bm25_retrieve(index, doc.body, DEFAULT_RERANK_CANDIDATES)
             if d != doc.doc_id
         ]
         related = reranker.rerank(doc.body, candidates)[:k]
@@ -400,7 +384,7 @@ def make_docid_understanding_examples(
             continue
         examples.append(TrainingExample(
             task=Task.AUX_DOCID2RELATED,
-            input=f"related: {doc.doc_id}",
+            input=f"{RELATED_PREFIX} {doc.doc_id}",
             target=docid_list_target(related),
         ))
 

@@ -63,6 +63,10 @@ class TestIngest:
         assert lines[1]["_stats"]["document_count"] == len(CORPUS_ROWS)
         assert lines[2]["doc_id"] == "Mercury # overview"
 
+    def test_missing_corpus_flag_exits_naming_it(self, workdir):
+        with pytest.raises(SystemExit, match="^missing --corpus$"):
+            run(["ingest", "--out", workdir / "x.jsonl"])
+
     def test_missing_file_exits_nonzero(self, workdir, capsys):
         code = run(["ingest", "--corpus", workdir / "nope.jsonl",
                     "--out", workdir / "x.jsonl"])
@@ -247,12 +251,48 @@ def test_demo_data_traindata_matches_golden(tmp_path):
     assert records == (GOLDEN / "traindata.jsonl").read_bytes()
 
 
+def _without_config(path) -> bytes:
+    """A JSON artifact re-serialized without its ``config``, which echoes per-run paths."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload["config"]
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def test_demo_data_losses_match_golden(tmp_path):
     # pins every loss the fitted n-gram model gives the examples, to the last bit
     out = tmp_path / "loss.json"
     assert run(["loss", "--corpus", DEMO_DATA / "corpus.jsonl",
                 "--gold", DEMO_DATA / "gold.jsonl", "--out", out]) == 0
-    payload = json.loads(out.read_text(encoding="utf-8"))
-    del payload["config"]
-    pinned = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert pinned.encode("utf-8") == (GOLDEN / "loss.json").read_bytes()
+    assert _without_config(out) == (GOLDEN / "loss.json").read_bytes()
+
+
+def test_demo_data_ingest_matches_golden(tmp_path):
+    out = tmp_path / "ingest.jsonl"
+    assert run(["ingest", "--corpus", DEMO_DATA / "corpus.jsonl", "--out", out]) == 0
+    config_line, records = out.read_bytes().split(b"\n", 1)
+    assert b'"_config"' in config_line
+    assert records == (GOLDEN / "ingest.jsonl").read_bytes()
+
+
+def test_demo_data_index_matches_golden(tmp_path):
+    out = tmp_path / "index"
+    assert run(["index", "--corpus", DEMO_DATA / "corpus.jsonl",
+                "--gold", DEMO_DATA / "gold.jsonl", "--out", out]) == 0
+    for name in ("vocab.txt", "trie.txt"):
+        assert (out / name).read_bytes() == (GOLDEN / f"index_{name}").read_bytes()
+    assert _without_config(out / "meta.json") == (GOLDEN / "index_meta.json").read_bytes()
+
+
+@pytest.mark.parametrize("category, command", [
+    ("retrieval", ["retrieve"]),
+    ("qa", ["rag", "--mode", "continuous"]),
+])
+def test_demo_data_eval_matches_golden(tmp_path, category, command):
+    data = ["--gold", DEMO_DATA / "gold.jsonl"]
+    predictions = tmp_path / "predictions.jsonl"
+    assert run(command + ["--corpus", DEMO_DATA / "corpus.jsonl", "--out", predictions] + data) == 0
+    report, table = tmp_path / "report.json", tmp_path / "per_query.jsonl"
+    assert run(["eval", "--predictions", predictions, "--category", category, "--out", report,
+                "--per-query-out", table] + data) == 0
+    assert _without_config(report) == (GOLDEN / f"eval_{category}.json").read_bytes()
+    assert table.read_bytes() == (GOLDEN / f"eval_{category}_per_query.jsonl").read_bytes()

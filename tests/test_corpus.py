@@ -127,6 +127,23 @@ class TestIngest:
         with pytest.raises(CorpusError):
             ingest_corpus(path)
 
+    @pytest.mark.parametrize("record, named", [
+        ({"id": 1, "title": 5, "section": "s", "text": "hello."}, "'title' must be a string"),
+        ({"id": 1, "title": "t", "section": ["s"], "text": "hello."}, "'section' must be a string"),
+        ({"id": 1, "title": "t", "section": "s", "text": ["hello."]}, "'text' must be a string"),
+        ({"id": 1, "title": "t", "section": "s", "text": None}, "'text' must be a string"),
+        ({"id": 1, "title": " ", "section": "s", "text": "hello."}, "title must be non-empty"),
+        (["t", "s", "hello."], "record must be a JSON object"),
+    ])
+    def test_malformed_record_names_field_and_line(self, tmp_path, record, named):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "1", "title": "a", "section": "x", "text": "t."}\n'
+                        + json.dumps(record) + "\n")
+        with pytest.raises(CorpusError) as err:
+            ingest_corpus(path)
+        assert str(err.value).startswith(f"{path}:2: malformed corpus record: ")
+        assert named in str(err.value)
+
 
 class TestGold:
     def test_load_gold_groups_and_flat(self, tmp_path):
@@ -158,6 +175,34 @@ class TestGold:
         with pytest.raises(CorpusError) as err:
             load_gold(path)
         assert ":1:" in str(err.value)
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"output": {"answer": "a"}}, "'output' must be a list"),
+        ({"output": ["a"]}, "output entry must be a JSON object"),
+        ({"output": [{"answer": 5}]}, "'answer' must be a string"),
+        ({"output": [{"answer": ["a"]}]}, "'answer' must be a string"),
+        ({"input": 5}, "'input' must be a string"),
+        ({"output": [{"provenance": [{"title": 5}]}]}, "'title' must be a string"),
+        ({"output": [{"provenance": [{"title": "Mars", "section": ["x"]}]}]},
+         "'section' must be a string"),
+        ({"output": [{"provenance": ["Mars"]}]}, "provenance entry must be a JSON object"),
+    ])
+    def test_malformed_record_names_field_and_line(self, tmp_path, fields, named):
+        valid = {"id": "q1", "input": "which planet is red",
+                 "output": [{"answer": "mars", "provenance": [{"title": "Mars"}]}]}
+        path = tmp_path / "g.jsonl"
+        path.write_text(json.dumps(valid) + "\n" + json.dumps({**valid, **fields}) + "\n")
+        with pytest.raises(CorpusError) as err:
+            load_gold(path)
+        assert str(err.value).startswith(f"{path}:2: malformed gold record: ")
+        assert named in str(err.value)
+
+    def test_non_object_record_names_line(self, tmp_path):
+        path = tmp_path / "g.jsonl"
+        path.write_text('["q1", "which planet is red"]\n')
+        with pytest.raises(CorpusError) as err:
+            load_gold(path)
+        assert str(err.value).startswith(f"{path}:1: malformed gold record: record must be")
 
 
 def test_sentences_rebuild_body_up_to_whitespace(tiny_corpus):

@@ -20,7 +20,6 @@ from docidlm.lm import (
     RemoteTimeoutError,
     UniformLm,
     VocabularyMismatchError,
-    remote_logprobs,
     train_ngram,
 )
 from docidlm.tokens import build_vocabulary
@@ -285,29 +284,29 @@ def remote_server():
 class TestRemote:
     def test_uniform_echo(self, remote_server):
         _Handler.behavior = "uniform"
-        vector = remote_logprobs(remote_server, [1, 2], vocab_size=7)
+        vector = RemoteLm(small_vocab(0), remote_server).next_logprobs([1, 2])
         assert np.allclose(vector, math.log(1 / 7))
 
     def test_vocabulary_mismatch(self, remote_server):
         _Handler.behavior = "short"
         with pytest.raises(VocabularyMismatchError):
-            remote_logprobs(remote_server, [], vocab_size=7)
+            RemoteLm(small_vocab(0), remote_server).next_logprobs([])
 
     def test_malformed_response(self, remote_server):
         _Handler.behavior = "garbage"
         with pytest.raises(RemoteProtocolError):
-            remote_logprobs(remote_server, [], vocab_size=7)
+            RemoteLm(small_vocab(0), remote_server).next_logprobs([])
 
     def test_timeout(self, remote_server):
         _Handler.behavior = "slow"
         start = time.monotonic()
         with pytest.raises(RemoteTimeoutError):
-            remote_logprobs(remote_server, [], vocab_size=7, timeout=0.2)
+            RemoteLm(small_vocab(0), remote_server, timeout=0.2).next_logprobs([])
         assert time.monotonic() - start < 0.9
 
     def test_unreachable_endpoint(self):
         with pytest.raises(RemoteTimeoutError):
-            remote_logprobs("http://127.0.0.1:1/", [], vocab_size=7, timeout=0.2)
+            RemoteLm(small_vocab(0), "http://127.0.0.1:1/", timeout=0.2).next_logprobs([])
 
     def test_remote_lm_scorer_shape(self, remote_server):
         _Handler.behavior = "uniform"
@@ -319,7 +318,7 @@ class TestRemote:
     def test_failure_status_with_well_formed_body_is_rejected(self, remote_server):
         _Handler.behavior = "error500"
         with pytest.raises(RemoteProtocolError, match=f"{remote_server}.*500"):
-            remote_logprobs(remote_server, [], vocab_size=7)
+            RemoteLm(small_vocab(0), remote_server).next_logprobs([])
         lm = RemoteLm(small_vocab(0), remote_server, timeout=2.0)
         with pytest.raises(RemoteProtocolError, match="500"):
             lm.next_logprobs([0])
@@ -344,8 +343,6 @@ class TestRemote:
     def test_bad_endpoint_rejected_on_construction(self, endpoint):
         with pytest.raises(ValueError):
             RemoteLm(small_vocab(0), endpoint)
-        with pytest.raises(ValueError):
-            remote_logprobs(endpoint, [], vocab_size=7)
 
 
 def _context_vector(context, vocab_size=7):
@@ -374,8 +371,10 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
             self.server.connections += 1
 
     def do_POST(self):
-        context = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["context"]
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        context = json.loads(body)["context"]
         with self.server.lock:
+            self.server.bodies.append(body)
             self.server.requests += 1
             first = self.server.requests == 1
         if self.server.mode == "drop" and not first:
@@ -403,7 +402,7 @@ def keepalive_server():
 
     def start(mode="serve"):
         server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
-        server.mode, server.connections, server.requests = mode, 0, 0
+        server.mode, server.connections, server.requests, server.bodies = mode, 0, 0, []
         server.lock = threading.Lock()
         thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
         thread.start()
@@ -428,6 +427,18 @@ class TestKeepAlive:
         finally:
             lm.close()
         assert (server.connections, server.requests) == (1, 20)
+
+    def test_array_context_sends_the_list_context_body(self, keepalive_server):
+        server, endpoint = keepalive_server()
+        lm = RemoteLm(small_vocab(0), endpoint, timeout=2.0)
+        try:
+            from_list = lm.next_logprobs([0, 6, 3])
+            from_array = lm.next_logprobs(np.array([0, 6, 3], dtype=np.int64))
+        finally:
+            lm.close()
+        assert server.bodies == [b'{"context": [0, 6, 3]}'] * 2
+        assert from_array.tobytes() == from_list.tobytes()
+        assert from_list.tolist() == _context_vector([0, 6, 3])
 
     def test_stale_socket_is_retried_once(self, keepalive_server):
         server, endpoint = keepalive_server("idle-close")
@@ -460,7 +471,7 @@ class TestKeepAlive:
         server, endpoint = keepalive_server("drop")
         server.requests = 1  # drop from the first request on
         with pytest.raises(RemoteTimeoutError):
-            remote_logprobs(endpoint, [], vocab_size=7, timeout=2.0)
+            RemoteLm(small_vocab(0), endpoint, timeout=2.0).next_logprobs([])
         assert (server.connections, server.requests) == (1, 2)
 
     def test_timeout_on_reused_socket_is_not_retried(self, keepalive_server):

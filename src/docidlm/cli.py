@@ -15,20 +15,15 @@ import os
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from time import perf_counter
+from typing import Callable
 
-from . import metrics, training
+from . import decoder, metrics, training
 from .corpus import Corpus, GoldRecord, ingest_corpus, load_gold
-from .decoder import (
-    TASK_PREFIXES,
-    generate_docid_list,
-    generate_rag,
-    generate_rag_pipeline,
-    rag_result_record,
-)
-from .lm import LmScorer, RemoteLm
+from .lm import DEFAULT_ALPHA, DEFAULT_ORDER, LmScorer, RemoteLm
 from .tokens import Vocabulary, build_vocabulary, save_vocabulary
 from .trie import DocIdTrie, build_trie, dump_trie
 
@@ -37,21 +32,21 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class RunConfig:
-    """Effective engine configuration, echoed into every output artifact."""
+    """Every setting, with its one default, echoed into every output artifact."""
 
     corpus: str | None = None
     gold: str | None = None
     out: str | None = None
     predictions: str | None = None
-    k_retrieve: int = 10
-    k_context: int = 3
-    tau: float = 0.2
-    lambdas: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-    ngram_order: int = 3
-    alpha: float = 0.1
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
-    budget: int = 256
+    k_retrieve: int = decoder.DEFAULT_K_RETRIEVE
+    k_context: int = decoder.DEFAULT_K_CONTEXT
+    tau: float = training.DEFAULT_NOISE_TAU
+    lambdas: tuple[float, float, float, float] = training.DEFAULT_LAMBDAS
+    ngram_order: int = DEFAULT_ORDER
+    alpha: float = DEFAULT_ALPHA
+    bm25_k1: float = training.DEFAULT_BM25_K1
+    bm25_b: float = training.DEFAULT_BM25_B
+    budget: int = decoder.DEFAULT_DOC_BUDGET
     seed: int = 0
     mode: str = "continuous"
     remote_lm: str | None = None
@@ -65,15 +60,16 @@ class RunConfig:
         return payload
 
 
-def _config_line(config: RunConfig) -> str:
-    return json.dumps({"_config": config.as_dict()}, sort_keys=True)
-
-
 def _write_jsonl(path: str, config: RunConfig, records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_config_line(config) + "\n")
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for record in [{"_config": config.as_dict()}] + records:
+            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def read_jsonl_records(path) -> list[dict]:
@@ -97,7 +93,7 @@ def read_jsonl_records(path) -> list[dict]:
 
 def engine_vocabulary(corpus: Corpus, gold_records: list[GoldRecord]) -> Vocabulary:
     """Corpus vocabulary extended with task prefixes, queries, and answers."""
-    extra = list(TASK_PREFIXES)
+    extra = list(decoder.TASK_PREFIXES)
     for record in gold_records:
         extra.append(record.input)
         extra.extend(record.answers)
@@ -140,16 +136,6 @@ def build_training_examples(
     return examples
 
 
-@dataclass
-class EngineComponents:
-    corpus: Corpus
-    gold_records: list[GoldRecord]
-    vocab: Vocabulary
-    index: training.Bm25Index
-    examples: list[training.TrainingExample] = field(repr=False, default_factory=list)
-    lm: LmScorer | None = None
-
-
 @contextmanager
 def build_stage(name: str):
     """Log at DEBUG how many seconds the enclosed build stage took."""
@@ -158,33 +144,56 @@ def build_stage(name: str):
     logger.debug("build stage %s took %.3f s", name, perf_counter() - start)
 
 
-def prepare_components(config: RunConfig, with_lm: bool = True) -> EngineComponents:
-    if not config.corpus:
-        raise SystemExit("missing --corpus")
-    corpus = ingest_corpus(config.corpus)
-    gold_records = load_gold(config.gold) if config.gold else []
-    with build_stage("vocab"):
-        vocab = engine_vocabulary(corpus, gold_records)
-    with build_stage("bm25"):
-        index = training.build_bm25_index(corpus, k1=config.bm25_k1, b=config.bm25_b)
-    components = EngineComponents(corpus, gold_records, vocab, index)
-    with build_stage("examples"):
-        components.examples = build_training_examples(corpus, gold_records, index, config)
-    if with_lm:
-        if config.remote_lm:
-            components.lm = RemoteLm(vocab, config.remote_lm)
-        else:
-            with build_stage("ngram_fit"):
-                components.lm = training.build_reference_lm(
-                    corpus, vocab, components.examples,
-                    order=config.ngram_order, alpha=config.alpha,
-                )
-    return components
+class Engine:
+    """The stages of one run, each built on first use from one RunConfig.
 
+    A stage takes its inputs before its clock starts, so each DEBUG time
+    covers that stage alone, and a command builds only the stages it reads.
+    """
 
-def engine_trie(components: EngineComponents) -> DocIdTrie:
-    with build_stage("trie"):
-        return build_trie(components.corpus, components.vocab)
+    def __init__(self, config: RunConfig):
+        self.config = config
+
+    @cached_property
+    def corpus(self) -> Corpus:
+        return ingest_corpus(self.config.corpus)
+
+    @cached_property
+    def gold_records(self) -> list[GoldRecord]:
+        return load_gold(self.config.gold) if self.config.gold else []
+
+    @cached_property
+    def vocab(self) -> Vocabulary:
+        corpus, gold_records = self.corpus, self.gold_records
+        with build_stage("vocab"):
+            return engine_vocabulary(corpus, gold_records)
+
+    @cached_property
+    def bm25(self) -> training.Bm25Index:
+        corpus = self.corpus
+        with build_stage("bm25"):
+            return training.build_bm25_index(corpus, k1=self.config.bm25_k1, b=self.config.bm25_b)
+
+    @cached_property
+    def examples(self) -> list[training.TrainingExample]:
+        corpus, gold_records, index = self.corpus, self.gold_records, self.bm25
+        with build_stage("examples"):
+            return build_training_examples(corpus, gold_records, index, self.config)
+
+    @cached_property
+    def lm(self) -> LmScorer:
+        if self.config.remote_lm:
+            return RemoteLm(self.vocab, self.config.remote_lm)
+        corpus, vocab, examples = self.corpus, self.vocab, self.examples
+        with build_stage("ngram_fit"):
+            return training.build_reference_lm(
+                corpus, vocab, examples, order=self.config.ngram_order, alpha=self.config.alpha)
+
+    @cached_property
+    def trie(self) -> DocIdTrie:
+        corpus, vocab = self.corpus, self.vocab
+        with build_stage("trie"):
+            return build_trie(corpus, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +201,6 @@ def engine_trie(components: EngineComponents) -> DocIdTrie:
 
 
 def cmd_ingest(config: RunConfig) -> None:
-    if not config.corpus:
-        raise SystemExit("missing --corpus")
     corpus = ingest_corpus(config.corpus)
     records = [
         {
@@ -213,36 +220,31 @@ def cmd_ingest(config: RunConfig) -> None:
 
 
 def cmd_index(config: RunConfig) -> None:
-    components = prepare_components(config, with_lm=False)
+    engine = Engine(config)
+    vocab, index, trie = engine.vocab, engine.bm25, engine.trie
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_vocabulary(components.vocab, out_dir / "vocab.txt")
-    trie = engine_trie(components)
+    save_vocabulary(vocab, out_dir / "vocab.txt")
     dump_trie(trie, out_dir / "trie.txt")
-    meta = {
+    _write_json(out_dir / "meta.json", {
         "config": config.as_dict(),
-        "vocab_size": components.vocab.size,
+        "vocab_size": vocab.size,
         "docid_count": len(trie),
-        "bm25": {"avgdl": components.index.avgdl,
-                 "document_count": components.index.document_count},
-    }
-    with open(out_dir / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "bm25": {"avgdl": index.avgdl, "document_count": index.document_count},
+    })
 
 
 def cmd_traindata(config: RunConfig) -> None:
-    components = prepare_components(config, with_lm=False)
-    records = [training.example_record(ex) for ex in components.examples]
+    records = [training.example_record(ex) for ex in Engine(config).examples]
     _write_jsonl(config.out, config, records)
 
 
 def cmd_retrieve(config: RunConfig) -> None:
-    components = prepare_components(config)
-    trie = engine_trie(components)
+    engine = Engine(config)
+    lm, trie = engine.lm, engine.trie
     records = []
-    for gold in components.gold_records:
-        ranked = generate_docid_list(components.lm, trie, gold.input, config.k_retrieve)
+    for gold in engine.gold_records:
+        ranked = decoder.generate_docid_list(lm, trie, gold.input, config.k_retrieve)
         records.append({
             "query_id": gold.query_id,
             "docids": list(ranked.docids),
@@ -251,40 +253,30 @@ def cmd_retrieve(config: RunConfig) -> None:
     _write_jsonl(config.out, config, records)
 
 
+RAG_MODES = {"continuous": decoder.generate_rag, "pipeline": decoder.generate_rag_pipeline}
+
+
 def cmd_rag(config: RunConfig) -> None:
-    components = prepare_components(config)
-    trie = engine_trie(components)
-    generate = generate_rag if config.mode == "continuous" else generate_rag_pipeline
+    engine = Engine(config)
+    lm, trie = engine.lm, engine.trie
+    generate = RAG_MODES[config.mode]
     records = []
-    for gold in components.gold_records:
-        result = generate(
-            components.lm, trie, components.corpus, gold.input,
-            k_retrieve=config.k_retrieve, k_context=config.k_context,
-            budget=config.budget,
-        )
-        records.append(rag_result_record(gold.query_id, result))
+    for gold in engine.gold_records:
+        result = generate(lm, trie, engine.corpus, gold.input, k_retrieve=config.k_retrieve,
+                          k_context=config.k_context, budget=config.budget)
+        records.append(decoder.rag_result_record(gold.query_id, result))
     _write_jsonl(config.out, config, records)
 
 
 def cmd_loss(config: RunConfig) -> None:
-    components = prepare_components(config)
-    breakdown = training.combined_loss(
-        components.lm, components.examples, lambdas=config.lambdas, tau=config.tau
-    )
-    payload = {"config": config.as_dict(), "losses": breakdown.as_dict(),
-               "example_count": len(components.examples)}
-    with open(config.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    engine = Engine(config)
+    lm, examples = engine.lm, engine.examples
+    breakdown = training.combined_loss(lm, examples, lambdas=config.lambdas, tau=config.tau)
+    _write_json(config.out, {"config": config.as_dict(), "losses": breakdown.as_dict(),
+                             "example_count": len(examples)})
 
 
 def cmd_eval(config: RunConfig) -> None:
-    if not config.predictions:
-        raise SystemExit("missing --predictions")
-    if not config.category:
-        raise SystemExit("missing --category")
-    if not config.gold:
-        raise SystemExit("missing --gold")
     golds = load_gold(config.gold)
     predictions = read_jsonl_records(config.predictions)
     report = metrics.evaluate_run(predictions, golds, metrics.TaskCategory(config.category))
@@ -297,11 +289,63 @@ def cmd_eval(config: RunConfig) -> None:
 # Argument parsing
 
 
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its function, its help, and the RunConfig fields it reads."""
+
+    run: Callable[[RunConfig], None]
+    help: str
+    flags: tuple[str, ...]
+    required: tuple[str, ...] = ("corpus",)
+
+
+# What the examples stage reads, and what the scorer built on it adds.
+_EXAMPLE_FLAGS = ("corpus", "gold", "k_retrieve", "k_context", "tau", "bm25_k1", "bm25_b",
+                  "seed", "aux_per_task")
+_SCORER_FLAGS = _EXAMPLE_FLAGS + ("ngram_order", "alpha", "remote_lm")
+
+COMMANDS = {
+    "ingest": Command(cmd_ingest, "validate and normalize a corpus file", ("corpus",)),
+    "index": Command(cmd_index, "build vocabulary, DocID trie, and BM25 statistics",
+                     ("corpus", "gold")),
+    "traindata": Command(cmd_traindata, "construct the multi-task training examples",
+                         _EXAMPLE_FLAGS),
+    "retrieve": Command(cmd_retrieve, "constrained greedy DocID-list decoding per gold query",
+                        _SCORER_FLAGS),
+    "rag": Command(cmd_rag, "continuous or pipeline DocIDs-References-Answer decoding",
+                   _SCORER_FLAGS + ("budget", "mode")),
+    "loss": Command(cmd_loss, "teacher-forced loss breakdown over the training examples",
+                    _SCORER_FLAGS + ("lambdas",)),
+    "eval": Command(cmd_eval, "score a predictions file against gold records",
+                    ("predictions", "category", "gold", "per_query_out"),
+                    required=("predictions", "category", "gold")),
+}
+
+
 def _parse_lambdas(text: str) -> tuple[float, float, float, float]:
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("expected four comma-separated weights: r,g,rag,aux")
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
+
+
+# argparse settings beyond the type a flag takes from its RunConfig default
+_FLAG_OPTIONS = {
+    "corpus": {"help": "corpus file (one JSON record per line)"},
+    "gold": {"help": "gold file (one JSON record per line)"},
+    "out": {"required": True, "help": "output artifact path"},
+    "lambdas": {"type": _parse_lambdas, "metavar": "R,G,RAG,AUX"},
+    "mode": {"choices": tuple(RAG_MODES)},
+    "remote_lm": {"metavar": "ADDRESS", "help": "use a remote scorer at this endpoint"},
+    "predictions": {"help": "decode result file to score"},
+    "category": {"choices": [c.value for c in metrics.TaskCategory]},
+    "per_query_out": {"help": "optional per-query table file"},
+}
+
+
+def _flag_name(field_name: str) -> str:
+    """The command-line spelling of a RunConfig field."""
+    return "--lambda" if field_name == "lambdas" else "--" + field_name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,81 +354,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generative retrieval and continuous RAG over trie-constrained DocIDs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--corpus", help="corpus file (one JSON record per line)")
-        p.add_argument("--gold", help="gold file (one JSON record per line)")
-        p.add_argument("--out", required=True, help="output artifact path")
-        p.add_argument("--k-retrieve", type=int, default=10, dest="k_retrieve")
-        p.add_argument("--k-context", type=int, default=3, dest="k_context")
-        p.add_argument("--tau", type=float, default=0.2)
-        p.add_argument("--lambda", type=_parse_lambdas, default=(1.0, 1.0, 1.0, 1.0),
-                       dest="lambdas", metavar="R,G,RAG,AUX")
-        p.add_argument("--ngram-order", type=int, default=3, dest="ngram_order")
-        p.add_argument("--alpha", type=float, default=0.1)
-        p.add_argument("--bm25-k1", type=float, default=1.2, dest="bm25_k1")
-        p.add_argument("--bm25-b", type=float, default=0.75, dest="bm25_b")
-        p.add_argument("--budget", type=int, default=256)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--remote-lm", dest="remote_lm", metavar="ADDRESS",
-                       help="use a remote scorer at this endpoint")
-        p.add_argument("--aux-per-task", type=int, default=10, dest="aux_per_task")
-
-    for name, help_text in [
-        ("ingest", "validate and normalize a corpus file"),
-        ("index", "build vocabulary, DocID trie, and BM25 statistics"),
-        ("traindata", "construct the multi-task training examples"),
-        ("retrieve", "constrained greedy DocID-list decoding per gold query"),
-        ("rag", "continuous or pipeline DocIDs-References-Answer decoding"),
-        ("loss", "teacher-forced loss breakdown over the training examples"),
-        ("eval", "score a predictions file against gold records"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        add_common(p)
-        if name == "rag":
-            p.add_argument("--mode", choices=("continuous", "pipeline"), default="continuous")
-        if name == "eval":
-            p.add_argument("--predictions", help="decode result file to score")
-            p.add_argument("--category", choices=[c.value for c in metrics.TaskCategory])
-            p.add_argument("--per-query-out", dest="per_query_out",
-                           help="optional per-query table file")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for field_name in command.flags + ("out",):
+            default = getattr(RunConfig, field_name)
+            options = {"type": type(default)} if default is not None else {}
+            options.update(_FLAG_OPTIONS.get(field_name, {}))
+            p.add_argument(_flag_name(field_name), dest=field_name, **options)
     return parser
-
-
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "index": cmd_index,
-    "traindata": cmd_traindata,
-    "retrieve": cmd_retrieve,
-    "rag": cmd_rag,
-    "loss": cmd_loss,
-    "eval": cmd_eval,
-}
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    for name in vars(config):
-        if hasattr(args, name):
-            value = getattr(args, name)
-            if value is not None:
-                setattr(config, name, value)
-    return config
 
 
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("CORPUSLM_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
+    args = vars(build_parser().parse_args(argv))
+    name = args.pop("command")
+    command = COMMANDS[name]
+    config = RunConfig(**{key: value for key, value in args.items() if value is not None})
+    for field_name in command.required:
+        if not getattr(config, field_name):
+            raise SystemExit(f"missing {_flag_name(field_name)}")
     try:
-        _COMMANDS[args.command](config)
-    except SystemExit:
-        raise
+        command.run(config)
     except Exception as exc:
-        print(f"docidlm {args.command}: error: {exc}", file=sys.stderr)
+        print(f"docidlm {name}: error: {exc}", file=sys.stderr)
         logger.debug("traceback", exc_info=True)
         return 2
     return 0

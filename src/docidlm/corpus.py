@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .tokens import split_words
 
@@ -74,7 +75,11 @@ class Corpus:
     """Immutable DocID -> Document map built by :func:`ingest_corpus`."""
 
     documents: dict[str, Document] = field(default_factory=dict)
-    stats: CorpusStats = CorpusStats(0, 0)
+
+    @cached_property
+    def stats(self) -> CorpusStats:
+        token_count = sum(len(split_words(doc.body)) for doc in self.documents.values())
+        return CorpusStats(len(self.documents), token_count)
 
     def get(self, doc_id: str) -> Document:
         try:
@@ -104,7 +109,6 @@ def make_document(source_id: str, title: str, section: str, text: str) -> Docume
 def build_corpus(documents: list[Document]) -> Corpus:
     """Assemble a Corpus from documents, rejecting DocID collisions."""
     by_id: dict[str, Document] = {}
-    token_count = 0
     for doc in documents:
         if doc.doc_id in by_id:
             prior = by_id[doc.doc_id]
@@ -113,8 +117,7 @@ def build_corpus(documents: list[Document]) -> Corpus:
                 f"and record {doc.source_id!r}"
             )
         by_id[doc.doc_id] = doc
-        token_count += len(split_words(doc.body))
-    return Corpus(documents=by_id, stats=CorpusStats(len(by_id), token_count))
+    return Corpus(documents=by_id)
 
 
 # Fully in-memory corpora stop here; larger ones need a persisted store.
@@ -127,6 +130,14 @@ def _string_field(record: dict, name: str, default: str | None = None) -> str:
     if not isinstance(value, str):
         raise CorpusError(f"field {name!r} must be a string, not {type(value).__name__}")
     return value
+
+
+def _id_field(record: dict) -> str:
+    """``record["id"]``, a JSON string or integer, as a string."""
+    value = record["id"]
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise CorpusError(f"field 'id' must be a string or an integer, not {type(value).__name__}")
+    return str(value)
 
 
 def _object(value, what: str) -> dict:
@@ -151,7 +162,7 @@ def ingest_corpus(path, max_in_memory_documents: int = MAX_IN_MEMORY_DOCUMENTS) 
             try:
                 record = _object(json.loads(line), "record")
                 doc = make_document(
-                    source_id=str(record["id"]),
+                    source_id=_id_field(record),
                     title=_string_field(record, "title"),
                     section=_string_field(record, "section"),
                     text=_string_field(record, "text"),
@@ -180,18 +191,20 @@ class GoldRecord:
 
 def load_gold(path) -> list[GoldRecord]:
     """Read a line-delimited gold file."""
-    records: list[GoldRecord] = []
+    records: dict[str, GoldRecord] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                raw = json.loads(line)
-                records.append(_parse_gold_record(raw))
+                record = _parse_gold_record(json.loads(line))
+                if record.query_id in records:
+                    raise CorpusError(f"id {record.query_id!r} repeats an earlier record")
             except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed gold record: {exc}") from exc
-    return records
+            records[record.query_id] = record
+    return list(records.values())
 
 
 def _parse_gold_record(raw) -> GoldRecord:
@@ -220,7 +233,7 @@ def _parse_gold_record(raw) -> GoldRecord:
                     seen.add(doc_id)
                     flat.append(doc_id)
     return GoldRecord(
-        query_id=str(raw["id"]),
+        query_id=_id_field(raw),
         input=_string_field(raw, "input"),
         answers=tuple(answers),
         provenance=tuple(flat),

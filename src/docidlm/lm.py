@@ -22,6 +22,8 @@ import numpy as np
 from .tokens import Vocabulary
 
 LOG_FLOOR = math.log(1e-12)
+DEFAULT_ORDER = 3
+DEFAULT_ALPHA = 0.1
 
 
 class RemoteError(RuntimeError):
@@ -75,11 +77,11 @@ class NgramLm:
     all the way through to the uniform alpha / (alpha * V) = 1/V case.
     """
 
-    def __init__(self, vocab: Vocabulary, order: int = 3, alpha: float = 0.1):
+    def __init__(self, vocab: Vocabulary, order: int = DEFAULT_ORDER, alpha: float = DEFAULT_ALPHA):
         if order < 1:
             raise ValueError("n-gram order must be >= 1")
-        if alpha <= 0:
-            raise ValueError("smoothing constant alpha must be > 0")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"smoothing constant alpha must be finite and > 0, not {alpha!r}")
         if vocab.size == 0:
             raise ValueError("vocabulary is empty")
         self.vocab = vocab
@@ -161,7 +163,7 @@ class NgramLm:
 
 
 def train_ngram(vocab: Vocabulary, texts: Sequence[Sequence[int]],
-                order: int = 3, alpha: float = 0.1) -> NgramLm:
+                order: int = DEFAULT_ORDER, alpha: float = DEFAULT_ALPHA) -> NgramLm:
     """Count every k-gram (k <= order) in ``texts`` and return the model."""
     return NgramLm(vocab, order=order, alpha=alpha).fit(texts)
 

@@ -262,9 +262,9 @@ def write_report(report: EvalReport, path, per_query_path=None, config: dict | N
     """
     payload = report.as_dict() if config is None else {"config": config, **report.as_dict()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     if per_query_path is not None:
         with open(per_query_path, "w", encoding="utf-8") as fh:
             for row in report.per_query:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.write(json.dumps(row, sort_keys=True, allow_nan=False) + "\n")

@@ -21,9 +21,9 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import Corpus, Document, UnknownDocIdError
-from .decoder import (ANSWER_PREFIX, RAG_PREFIX, RECITE_PREFIX, RELATED_PREFIX, RETRIEVE_PREFIX,
-                      render_document_text, score_sequence)
-from .lm import LmScorer, NgramLm, train_ngram
+from .decoder import (ANSWER_PREFIX, DEFAULT_K_RETRIEVE, RAG_PREFIX, RECITE_PREFIX, RELATED_PREFIX,
+                      RETRIEVE_PREFIX, render_document_text, score_sequence)
+from .lm import DEFAULT_ALPHA, DEFAULT_ORDER, LmScorer, NgramLm, train_ngram
 from .tokens import ANSWER_OPEN, EOS, REF_CLOSE, REF_OPEN, Vocabulary, encode, split_words
 
 logger = logging.getLogger(__name__)
@@ -103,6 +103,10 @@ class Bm25Index:
     """
 
     def __init__(self, corpus: Corpus, k1: float = DEFAULT_BM25_K1, b: float = DEFAULT_BM25_B):
+        if not (math.isfinite(k1) and k1 >= 0):
+            raise ValueError(f"BM25 k1 must be finite and >= 0, not {k1!r}")
+        if not 0 <= b <= 1:
+            raise ValueError(f"BM25 b must lie in [0, 1], not {b!r}")
         self.corpus = corpus
         self.k1 = k1
         self.b = b
@@ -200,6 +204,8 @@ def construct_ranked_docid_list(
     The labeled entries keep their original order as a prefix of the output;
     retrieved-and-reranked extras fill the remaining slots up to ``k``.
     """
+    if k < 1:
+        raise ValueError(f"ranked list length k must be >= 1, not {k!r}")
     for doc_id in labeled:
         if doc_id not in index.corpus:
             raise UnknownDocIdError(f"labeled DocID not in corpus: {doc_id!r}")
@@ -272,7 +278,7 @@ def make_rag_examples(
     its noise flag is set; the reference example always keeps the gold target.
     """
     if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
+        raise ValueError(f"tau must lie in [0, 1], not {tau!r}")
     rng = rng or random.Random(0)
     sentence_pool = [s for doc in context_docs for s in doc.sentences]
     if tau > 0 and not sentence_pool:
@@ -316,7 +322,7 @@ def make_docid_understanding_examples(
     per_task_count: int,
     rng: random.Random,
     reranker: Reranker | None = None,
-    k: int = 10,
+    k: int = DEFAULT_K_RETRIEVE,
 ) -> list[TrainingExample]:
     """Four unsupervised DocID-understanding tasks over sampled documents.
 
@@ -416,8 +422,8 @@ def combined_loss(
     of noise-flagged variants; the RAG component is exactly the reference
     component plus the answer component.
     """
-    if any(weight < 0 for weight in lambdas):
-        raise ValueError("lambda weights must be non-negative")
+    if not all(math.isfinite(weight) and weight >= 0 for weight in lambdas):
+        raise ValueError(f"lambda weights must be finite and non-negative, not {list(lambdas)}")
     l_rank = l_gen = l_ref = l_ans = l_aux = 0.0
     for example in batch:
         nll = sequence_loss(lm, example)
@@ -462,8 +468,8 @@ def build_reference_lm(
     corpus: Corpus,
     vocab: Vocabulary,
     examples: Sequence[TrainingExample],
-    order: int = 3,
-    alpha: float = 0.1,
+    order: int = DEFAULT_ORDER,
+    alpha: float = DEFAULT_ALPHA,
 ) -> NgramLm:
     """Fit the reference n-gram scorer on corpus bodies plus rendered examples."""
     texts = [encode(vocab, doc.body) for doc in corpus.documents.values()]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import re
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from docidlm.cli import main, read_jsonl_records
+from docidlm.cli import COMMANDS, RunConfig, build_parser, main, read_jsonl_records
 from docidlm.corpus import ingest_corpus
 from docidlm.tokens import load_vocabulary
 from docidlm.training import parse_example_record
@@ -201,13 +202,53 @@ def test_log_env_variable_accepted(workdir, monkeypatch):
 
 
 def test_debug_log_times_every_build_stage(workdir, monkeypatch, caplog):
+    # each command builds, and times, only the stages it reads
     monkeypatch.setenv("CORPUSLM_LOG", "DEBUG")
     caplog.set_level(logging.DEBUG, logger="docidlm")
-    assert run(["retrieve", "--corpus", workdir / "corpus.jsonl",
-                "--gold", workdir / "gold.jsonl", "--out", workdir / "results.jsonl"]) == 0
-    timed = [re.fullmatch(r"build stage (\w+) took \d+\.\d{3} s", r.getMessage())
-             for r in caplog.records if r.name == "docidlm.cli" and r.levelno == logging.DEBUG]
-    assert [m.group(1) for m in timed if m] == ["vocab", "bm25", "examples", "ngram_fit", "trie"]
+    corpus, gold = ["--corpus", workdir / "corpus.jsonl"], ["--gold", workdir / "gold.jsonl"]
+    for i, (argv, stages) in enumerate([
+        (["retrieve"] + corpus + gold, ["vocab", "bm25", "examples", "ngram_fit", "trie"]),
+        (["index"] + corpus + gold, ["vocab", "bm25", "trie"]),
+        (["traindata"] + corpus + gold, ["bm25", "examples"]),
+        (["loss"] + corpus + gold, ["vocab", "bm25", "examples", "ngram_fit"]),
+        # no gold queries, so the remote scorer is built but never called
+        (["retrieve", "--remote-lm", "http://127.0.0.1:9/"] + corpus, ["vocab", "trie"]),
+    ]):
+        caplog.clear()
+        assert run(argv + ["--out", workdir / f"out{i}"]) == 0
+        timed = [re.fullmatch(r"build stage (\w+) took \d+\.\d{3} s", r.getMessage())
+                 for r in caplog.records if r.name == "docidlm.cli" and r.levelno == logging.DEBUG]
+        assert [m.group(1) for m in timed if m] == stages, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--tau", "0.5"],
+    ["index", "--seed", "1"],
+    ["traindata", "--alpha", "0.2"],
+    ["eval", "--corpus", "X"],
+])
+def test_unread_flag_is_usage_error(workdir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", workdir / "out"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("retrieve", ["--alpha", "nan"], "not nan"),
+    ("retrieve", ["--alpha", "inf"], "not inf"),
+    ("loss", ["--lambda", "nan,1,1,1"], "not [nan, 1.0, 1.0, 1.0]"),
+    ("loss", ["--lambda", "inf,1,1,1"], "not [inf, 1.0, 1.0, 1.0]"),
+    ("traindata", ["--bm25-k1", "nan"], "not nan"),
+    ("traindata", ["--bm25-b", "-3"], "not -3.0"),
+    ("traindata", ["--k-retrieve", "0"], "not 0"),
+    ("traindata", ["--tau", "nan"], "not nan"),
+])
+def test_out_of_range_number_exits_naming_it(workdir, capsys, command, flags, named):
+    code = run([command, "--corpus", workdir / "corpus.jsonl", "--gold", workdir / "gold.jsonl",
+                "--out", workdir / "out"] + flags)
+    assert code == 2
+    assert named in capsys.readouterr().err
 
 
 def test_retrieval_quality_on_fixture(workdir):
@@ -223,6 +264,23 @@ def test_retrieval_quality_on_fixture(workdir):
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+PATH_FIELDS = ("corpus", "gold", "out", "predictions", "per_query_out")
+
+
+def assert_config_matches_golden(config: dict, name: str) -> None:
+    """The echoed configuration, path fields replaced by placeholders, pins every default."""
+    for key in PATH_FIELDS:
+        if config[key] is not None:
+            config[key] = f"<{key}>"
+    text = json.dumps(config, indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / f"config_{name}.json").read_text(encoding="utf-8")
+
+
+def records_after_config(path, name: str) -> bytes:
+    """The record lines of a JSONL artifact, after its ``_config`` line is checked."""
+    config_line, records = path.read_bytes().split(b"\n", 1)
+    assert_config_matches_golden(json.loads(config_line)["_config"], name)
+    return records
 
 
 @pytest.mark.parametrize("name, command", [
@@ -232,13 +290,11 @@ DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 ])
 def test_demo_data_records_match_golden(tmp_path, name, command):
     # The golden files hold every record line after the ``_config`` line,
-    # which echoes per-run paths; default flags otherwise.
+    # which has a golden of its own; default flags otherwise.
     out = tmp_path / f"{name}.jsonl"
     assert run(command + ["--corpus", DEMO_DATA / "corpus.jsonl",
                           "--gold", DEMO_DATA / "gold.jsonl", "--out", out]) == 0
-    config_line, records = out.read_bytes().split(b"\n", 1)
-    assert b'"_config"' in config_line
-    assert records == (GOLDEN / f"{name}.jsonl").read_bytes()
+    assert records_after_config(out, name) == (GOLDEN / f"{name}.jsonl").read_bytes()
 
 
 def test_demo_data_traindata_matches_golden(tmp_path):
@@ -246,15 +302,13 @@ def test_demo_data_traindata_matches_golden(tmp_path):
     out = tmp_path / "traindata.jsonl"
     assert run(["traindata", "--corpus", DEMO_DATA / "corpus.jsonl",
                 "--gold", DEMO_DATA / "gold.jsonl", "--out", out]) == 0
-    config_line, records = out.read_bytes().split(b"\n", 1)
-    assert b'"_config"' in config_line
-    assert records == (GOLDEN / "traindata.jsonl").read_bytes()
+    assert records_after_config(out, "traindata") == (GOLDEN / "traindata.jsonl").read_bytes()
 
 
-def _without_config(path) -> bytes:
-    """A JSON artifact re-serialized without its ``config``, which echoes per-run paths."""
+def _without_config(path, name: str) -> bytes:
+    """A JSON artifact re-serialized without its ``config``, once that is checked."""
     payload = json.loads(path.read_text(encoding="utf-8"))
-    del payload["config"]
+    assert_config_matches_golden(payload.pop("config"), name)
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -263,15 +317,13 @@ def test_demo_data_losses_match_golden(tmp_path):
     out = tmp_path / "loss.json"
     assert run(["loss", "--corpus", DEMO_DATA / "corpus.jsonl",
                 "--gold", DEMO_DATA / "gold.jsonl", "--out", out]) == 0
-    assert _without_config(out) == (GOLDEN / "loss.json").read_bytes()
+    assert _without_config(out, "loss") == (GOLDEN / "loss.json").read_bytes()
 
 
 def test_demo_data_ingest_matches_golden(tmp_path):
     out = tmp_path / "ingest.jsonl"
     assert run(["ingest", "--corpus", DEMO_DATA / "corpus.jsonl", "--out", out]) == 0
-    config_line, records = out.read_bytes().split(b"\n", 1)
-    assert b'"_config"' in config_line
-    assert records == (GOLDEN / "ingest.jsonl").read_bytes()
+    assert records_after_config(out, "ingest") == (GOLDEN / "ingest.jsonl").read_bytes()
 
 
 def test_demo_data_index_matches_golden(tmp_path):
@@ -280,7 +332,7 @@ def test_demo_data_index_matches_golden(tmp_path):
                 "--gold", DEMO_DATA / "gold.jsonl", "--out", out]) == 0
     for name in ("vocab.txt", "trie.txt"):
         assert (out / name).read_bytes() == (GOLDEN / f"index_{name}").read_bytes()
-    assert _without_config(out / "meta.json") == (GOLDEN / "index_meta.json").read_bytes()
+    assert _without_config(out / "meta.json", "index") == (GOLDEN / "index_meta.json").read_bytes()
 
 
 @pytest.mark.parametrize("category, command", [
@@ -294,5 +346,51 @@ def test_demo_data_eval_matches_golden(tmp_path, category, command):
     report, table = tmp_path / "report.json", tmp_path / "per_query.jsonl"
     assert run(["eval", "--predictions", predictions, "--category", category, "--out", report,
                 "--per-query-out", table] + data) == 0
-    assert _without_config(report) == (GOLDEN / f"eval_{category}.json").read_bytes()
+    assert (_without_config(report, f"eval_{category}")
+            == (GOLDEN / f"eval_{category}.json").read_bytes())
     assert table.read_bytes() == (GOLDEN / f"eval_{category}_per_query.jsonl").read_bytes()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_flag_table() -> tuple[list[str], dict[str, list[str]]]:
+    """The README flag table: its command columns, and each flag's default and cells."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index(next(line for line in lines if line.startswith("| flag | default |")))
+    commands = [cell.strip() for cell in lines[start].strip("|").split("|")][2:]
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        flag, *cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[flag.strip("`").split()[0]] = cells
+    return commands, rows
+
+
+def test_readme_flag_table_matches_parser():
+    # README lists, per command, exactly the flags the parser accepts, which
+    # of them the command requires, and each flag's RunConfig default
+    commands, rows = readme_flag_table()
+    [subparsers] = [a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    assert commands == list(subparsers.choices)
+    for column, command in enumerate(commands, start=1):
+        actions = {a.option_strings[0]: a for a in subparsers.choices[command]._actions
+                   if a.dest != "help"}
+        documented = {flag: cells[column] for flag, cells in rows.items() if cells[column]}
+        assert set(documented) == set(actions), command
+        for flag, action in actions.items():
+            required = action.required or action.dest in COMMANDS[command].required
+            assert documented[flag] == ("required" if required else "yes"), (command, flag)
+    for flag, (default, *_) in rows.items():
+        [dest] = {a.dest for sub in subparsers.choices.values() for a in sub._actions
+                  if flag in a.option_strings}
+        value = getattr(RunConfig, dest)
+        if value is None:
+            expected = "none"
+        elif isinstance(value, tuple):
+            expected = ",".join(f"{v:g}" for v in value)
+        else:
+            expected = str(value)
+        assert default == expected, flag

@@ -134,6 +134,12 @@ class TestIngest:
         ({"id": 1, "title": "t", "section": "s", "text": None}, "'text' must be a string"),
         ({"id": 1, "title": " ", "section": "s", "text": "hello."}, "title must be non-empty"),
         (["t", "s", "hello."], "record must be a JSON object"),
+        ({"id": None, "title": "t", "section": "s", "text": "hello."},
+         "'id' must be a string or an integer, not NoneType"),
+        ({"id": [1], "title": "t", "section": "s", "text": "hello."},
+         "'id' must be a string or an integer, not list"),
+        ({"id": True, "title": "t", "section": "s", "text": "hello."},
+         "'id' must be a string or an integer, not bool"),
     ])
     def test_malformed_record_names_field_and_line(self, tmp_path, record, named):
         path = tmp_path / "c.jsonl"
@@ -186,6 +192,10 @@ class TestGold:
         ({"output": [{"provenance": [{"title": "Mars", "section": ["x"]}]}]},
          "'section' must be a string"),
         ({"output": [{"provenance": ["Mars"]}]}, "provenance entry must be a JSON object"),
+        ({"id": None}, "'id' must be a string or an integer, not NoneType"),
+        ({"id": [1]}, "'id' must be a string or an integer, not list"),
+        ({"id": False}, "'id' must be a string or an integer, not bool"),
+        ({"input": "which planet is hot"}, "id 'q1' repeats an earlier record"),
     ])
     def test_malformed_record_names_field_and_line(self, tmp_path, fields, named):
         valid = {"id": "q1", "input": "which planet is red",

@@ -107,6 +107,8 @@ def build_training_examples(
     config: RunConfig,
 ) -> list[training.TrainingExample]:
     """Deterministic training batch from gold records plus auxiliary tasks."""
+    if config.k_context < 1:
+        raise ValueError(f"k_context must be >= 1, not {config.k_context!r}")
     rng = random.Random(config.seed)
     reranker = training.LexicalOverlapReranker(corpus)
     examples: list[training.TrainingExample] = []

@@ -179,7 +179,9 @@ def render_document_tokens(vocab: Vocabulary, doc: Document, budget: int) -> lis
     The body tail is dropped first; the header is only cut when the budget is
     smaller than the header itself.
     """
-    return encode(vocab, render_document_text(doc))[: max(0, budget)]
+    if budget < 1:
+        raise ValueError(f"document budget must be >= 1, not {budget!r}")
+    return encode(vocab, render_document_text(doc))[:budget]
 
 
 def _generate_rag(

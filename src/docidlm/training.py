@@ -331,6 +331,8 @@ def make_docid_understanding_examples(
     list construction; (c) DocID -> that summary; (d) DocID -> reranked BM25
     neighbors of the body, excluding the document itself.
     """
+    if per_task_count < 0:
+        raise ValueError(f"aux per-task count must be >= 0, not {per_task_count!r}")
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
     reranker = reranker or LexicalOverlapReranker(corpus)

@@ -15,6 +15,8 @@ continuation query is the node's array minus its few dead tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
+from typing import Iterator
 
 import numpy as np
 
@@ -148,7 +150,10 @@ class ExclusionSet:
 
 
 def build_trie(corpus: Corpus, vocab: Vocabulary) -> DocIdTrie:
-    """Insert every corpus DocID's token sequence into a fresh trie."""
+    """Insert every corpus DocID's token sequence into a fresh trie.
+
+    Every inner node then gets its read-only ascending child-token array.
+    """
     trie = DocIdTrie()
     for doc_id in corpus.documents:
         tokens = tuple(encode(vocab, doc_id))
@@ -158,18 +163,13 @@ def build_trie(corpus: Corpus, vocab: Vocabulary) -> DocIdTrie:
         if bad:
             raise TrieError(f"DocID {doc_id!r} tokenizes to reserved ids {bad}")
         trie._insert(tokens, doc_id)
-    _finish(trie)
-    return trie
-
-
-def _finish(trie: DocIdTrie) -> None:
-    """Give every inner node its read-only ascending child-token array."""
     stack = [trie.root]
     while stack:
         node = stack.pop()
         if node.children:
             node.child_ids = _frozen(np.array(sorted(node.children), dtype=np.int64))
             stack.extend(node.children.values())
+    return trie
 
 
 def exclude(excl: ExclusionSet, doc_id: str) -> ExclusionSet:
@@ -196,99 +196,45 @@ def allowed_continuations(
     return Continuations(ids=ids, close_permitted=close_ok)
 
 
+def _snapshot_lines(node: TrieNode, depth: int = 0) -> Iterator[str]:
+    """The canonical preorder snapshot below ``node``, one newline-ended line per node.
+
+    A line is ``depth<TAB>token id<TAB>terminal flag``; children follow in
+    ascending token order and the root is implicit.
+    """
+    for token in node.child_ids.tolist():
+        child = node.children[token]
+        yield f"{depth}\t{token}\t{int(child.is_terminal)}\n"
+        yield from _snapshot_lines(child, depth + 1)
+
+
 def dump_trie(trie: DocIdTrie, path) -> None:
-    """Write a preorder snapshot, one node per line: depth, token id, terminal flag.
+    """Write the trie's canonical preorder snapshot (see :func:`_snapshot_lines`).
 
-    Children are visited in ascending token order so the dump is canonical.
-    The root is implicit. DocID identities are not part of the format; use
-    :func:`load_trie` with a corpus and vocabulary to rebind them.
+    DocID identities are not part of the format: :func:`load_trie` gets them
+    from the corpus and vocabulary the trie was built from.
     """
-    lines: list[str] = []
-
-    def visit(node: TrieNode, depth: int) -> None:
-        for token in sorted(node.children):
-            child = node.children[token]
-            lines.append(f"{depth}\t{token}\t{int(child.is_terminal)}")
-            visit(child, depth + 1)
-
-    visit(trie.root, 0)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(_snapshot_lines(trie.root))
 
 
-def load_trie(path, corpus: Corpus | None = None, vocab: Vocabulary | None = None) -> DocIdTrie:
-    """Rebuild a structurally identical trie from a preorder snapshot.
+def load_trie(path, corpus: Corpus, vocab: Vocabulary) -> DocIdTrie:
+    """The trie of ``corpus`` under ``vocab``, if ``path`` is exactly its snapshot.
 
-    Terminal DocID identities are recovered when ``corpus`` and ``vocab`` are
-    given, and then the snapshot must hold exactly the corpus DocIDs: a
-    terminal path that spells no corpus DocID, or a corpus DocID with no
-    terminal, is a :class:`TrieError`. Otherwise terminals carry placeholder
-    identities derived from the path and the trie is suitable for structural
-    audits only.
+    The trie is rebuilt with :func:`build_trie` and the file is compared with
+    its canonical snapshot line by line, so a snapshot written from another
+    corpus or vocabulary, or any other file, fails with a :class:`TrieError`
+    naming ``path:line`` of the first line that differs.
     """
-    bind = corpus is not None and vocab is not None
-    path_to_docid: dict[tuple[int, ...], str] = {}
-    if bind:
-        for doc_id in corpus.documents:
-            path_to_docid[tuple(encode(vocab, doc_id))] = doc_id
-
-    trie = DocIdTrie()
-    # (node, token path, snapshot line) along the chain from the root to the last node read
-    stack: list[tuple[TrieNode, tuple[int, ...], int]] = [(trie.root, (), 0)]
-
-    def close_chain(depth: int) -> None:
-        """Pop the chain below ``depth``; a popped last node is a leaf and must end a DocID."""
-        node, _, node_line = stack[-1]
-        if depth + 1 < len(stack) and not node.is_terminal:
-            raise TrieError(f"{path}:{node_line}: leaf node ends no DocID")
-        del stack[depth + 1 :]
-
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                depth_s, token_s, term_s = line.split("\t")
-                depth, token, terminal = int(depth_s), int(token_s), bool(int(term_s))
-            except ValueError as exc:
-                raise TrieError(f"{path}:{lineno}: malformed trie snapshot line") from exc
-            if not 0 <= depth < len(stack):
-                raise TrieError(f"{path}:{lineno}: depth {depth} does not follow the line above")
-            if token <= UNK:
-                raise TrieError(f"{path}:{lineno}: token id {token} is reserved or negative")
-            close_chain(depth)
-            parent, parent_path, _ = stack[depth]
-            if token in parent.children:
-                raise TrieError(f"{path}:{lineno}: token id {token} repeats under one parent")
-            node = TrieNode()
-            parent.children[token] = node
-            node_path = parent_path + (token,)
-            if terminal:
-                if bind and node_path not in path_to_docid:
-                    raise TrieError(f"{path}:{lineno}: terminal path spells no corpus DocID")
-                node.terminal_docid = path_to_docid.get(node_path, "#".join(map(str, node_path)))
-            stack.append((node, node_path, lineno))
-    close_chain(0)
-
-    def recount(node: TrieNode) -> int:
-        total = int(node.is_terminal) + sum(recount(c) for c in node.children.values())
-        node.subtree_count = total
-        return total
-
-    recount(trie.root)
-    for doc_id, node_path in _terminal_paths(trie.root, ()):
-        trie.docid_paths[doc_id] = node_path
-    if bind:
-        missing = sorted(set(corpus.documents) - set(trie.docid_paths))
-        if missing:
-            raise TrieError(f"{path}: corpus DocID {missing[0]!r} is missing from the snapshot")
-    _finish(trie)
+    trie = build_trie(corpus, vocab)
+    with open(path, encoding="utf-8", newline="") as fh:
+        pairs = zip_longest(fh, _snapshot_lines(trie.root))
+        for lineno, (found, expected) in enumerate(pairs, start=1):
+            if found != expected:
+                raise TrieError(
+                    f"{path}:{lineno}: found {_shown(found)}, expected {_shown(expected)}")
     return trie
 
 
-def _terminal_paths(node: TrieNode, prefix: tuple[int, ...]):
-    if node.is_terminal:
-        yield node.terminal_docid, prefix
-    for token, child in node.children.items():
-        yield from _terminal_paths(child, prefix + (token,))
+def _shown(line: str | None) -> str:
+    return "the end of the file" if line is None else repr(line)

@@ -10,7 +10,9 @@ from docidlm.cli import COMMANDS, RunConfig, build_parser, main, read_jsonl_reco
 from docidlm.corpus import ingest_corpus
 from docidlm.tokens import load_vocabulary
 from docidlm.training import parse_example_record
-from docidlm.trie import build_trie, load_trie
+from docidlm.trie import TrieError, build_trie, load_trie
+
+from conftest import corpus_from_rows
 
 CORPUS_ROWS = [
     ("m1", "Mercury", "overview", "mercury is the smallest planet. it orbits closest to the sun."),
@@ -83,11 +85,29 @@ class TestIndex:
         vocab = load_vocabulary(out / "vocab.txt")
         corpus = ingest_corpus(workdir / "corpus.jsonl")
         rebuilt = build_trie(corpus, vocab)
-        loaded = load_trie(out / "trie.txt", corpus=corpus, vocab=vocab)
+        loaded = load_trie(out / "trie.txt", corpus, vocab)
         assert loaded.docid_paths == rebuilt.docid_paths
         meta = json.loads((out / "meta.json").read_text())
         assert meta["docid_count"] == len(CORPUS_ROWS)
         assert meta["config"]["seed"] == 0
+
+    def test_trie_loads_only_with_its_corpus_and_vocabulary(self, workdir):
+        # "apple" sorts before the DocID words, so the gold file moves their ids
+        gold = workdir / "gold_apple.jsonl"
+        gold.write_text(json.dumps({"id": "q9", "input": "apple", "output": [{"answer": "no"}]})
+                        + "\n", encoding="utf-8")
+        corpus_file, out, bare = workdir / "corpus.jsonl", workdir / "index", workdir / "bare"
+        assert run(["index", "--corpus", corpus_file, "--gold", gold, "--out", out]) == 0
+        assert run(["index", "--corpus", corpus_file, "--out", bare]) == 0
+        trie_file = out / "trie.txt"
+        corpus, vocab = ingest_corpus(corpus_file), load_vocabulary(out / "vocab.txt")
+        assert len(load_trie(trie_file, corpus, vocab)) == len(CORPUS_ROWS)
+        stray_line = f"^{re.escape(str(trie_file))}:\\d+: found "
+        with pytest.raises(TrieError, match=stray_line):
+            load_trie(trie_file, corpus, load_vocabulary(bare / "vocab.txt"))
+        fewer = corpus_from_rows([row for row in CORPUS_ROWS if row[0] != "s2"])
+        with pytest.raises(TrieError, match=stray_line):
+            load_trie(trie_file, fewer, vocab)
 
 
 class TestTraindata:
@@ -243,6 +263,12 @@ def test_unread_flag_is_usage_error(workdir, capsys, argv):
     ("traindata", ["--bm25-b", "-3"], "not -3.0"),
     ("traindata", ["--k-retrieve", "0"], "not 0"),
     ("traindata", ["--tau", "nan"], "not nan"),
+    ("traindata", ["--k-context", "-2"], "k_context must be >= 1, not -2"),
+    ("traindata", ["--k-context", "0"], "k_context must be >= 1, not 0"),
+    ("retrieve", ["--k-context", "0"], "k_context must be >= 1, not 0"),
+    ("rag", ["--budget", "0"], "document budget must be >= 1, not 0"),
+    ("rag", ["--budget", "-5"], "document budget must be >= 1, not -5"),
+    ("traindata", ["--aux-per-task", "-1"], "aux per-task count must be >= 0, not -1"),
 ])
 def test_out_of_range_number_exits_naming_it(workdir, capsys, command, flags, named):
     code = run([command, "--corpus", workdir / "corpus.jsonl", "--gold", workdir / "gold.jsonl",

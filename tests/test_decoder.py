@@ -315,6 +315,13 @@ class TestRenderDocument:
         doc = corpus.get("Long Title Words # Sec")
         assert len(render_document_tokens(vocab, doc, budget=2)) == 2
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        corpus = corpus_from_rows([("1", "Title", "Sec", "body.")])
+        vocab = build_vocabulary(corpus, [])
+        with pytest.raises(ValueError, match=f"^document budget must be >= 1, not {budget}$"):
+            render_document_tokens(vocab, corpus.get("Title # Sec"), budget)
+
 
 class TestParseTrace:
     def test_accepts_wellformed(self):

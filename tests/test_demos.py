@@ -1,4 +1,4 @@
-"""Every narrative demo runs to completion against the sources in ``src``."""
+"""Every narrative demo runs against the sources in ``src`` and prints its golden output."""
 
 import os
 import subprocess
@@ -9,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def test_all_demos_found():
@@ -22,3 +23,5 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    golden = GOLDEN / f"demo_{demo.stem}.txt"
+    assert done.stdout == golden.read_text(encoding="utf-8")

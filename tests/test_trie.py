@@ -1,5 +1,6 @@
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -249,17 +250,21 @@ class TestArrayContinuationsMatchOracle:
             vocab = build_vocabulary(corpus, [])
             built = build_trie(corpus, vocab)
             dump_trie(built, tmp_path / f"trie{round_}.txt")
-            loaded = load_trie(tmp_path / f"trie{round_}.txt", corpus=corpus, vocab=vocab)
-            for trie in (built, loaded):
-                doc_ids = sorted(corpus.documents)
-                rng.shuffle(doc_ids)
-                excl = ExclusionSet(trie)
-                for doc_id in [None] + doc_ids:
-                    if doc_id is not None:
-                        exclude(excl, doc_id)
-                    assert_matches_oracle(trie, (), excl)
-                    for _ in range(4):
-                        assert_matches_oracle(trie, random_prefix(rng, trie), excl)
+            loaded = load_trie(tmp_path / f"trie{round_}.txt", corpus, vocab)
+            assert loaded.docid_paths == built.docid_paths
+            doc_ids = sorted(corpus.documents)
+            rng.shuffle(doc_ids)
+            built_excl, loaded_excl = ExclusionSet(built), ExclusionSet(loaded)
+            for doc_id in [None] + doc_ids:
+                if doc_id is not None:
+                    exclude(built_excl, doc_id)
+                    exclude(loaded_excl, doc_id)
+                for prefix in [()] + [random_prefix(rng, built) for _ in range(4)]:
+                    assert_matches_oracle(built, prefix, built_excl)
+                    want = allowed_continuations(built, prefix, built_excl)
+                    got = allowed_continuations(loaded, prefix, loaded_excl)
+                    assert got.ids.tolist() == want.ids.tolist()
+                    assert got.close_permitted == want.close_permitted
 
     def test_benchmark_scale_corpus(self):
         rng = random.Random(59)
@@ -321,80 +326,102 @@ class TestIdempotentExclusion:
 
 
 class TestSnapshot:
-    def test_dump_load_structural_identity(self):
+    def test_dump_load_structural_identity(self, tmp_path):
         rng = random.Random(31)
         corpus = random_corpus(rng, 25)
         vocab = build_vocabulary(corpus, [])
         trie = build_trie(corpus, vocab)
-        return_trip(trie, corpus, vocab)
+        path = tmp_path / "trie.txt"
+        dump_trie(trie, path)
+        loaded = load_trie(path, corpus, vocab)
+        assert loaded.docid_paths == trie.docid_paths
+        dump_trie(loaded, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
     def test_empty_trie_snapshot(self, tmp_path):
         corpus = corpus_from_rows([])
         vocab = build_vocabulary(corpus, [])
-        trie = build_trie(corpus, vocab)
         path = tmp_path / "trie.txt"
-        dump_trie(trie, path)
-        loaded = load_trie(path)
-        assert len(loaded) == 0
+        dump_trie(build_trie(corpus, vocab), path)
+        assert path.read_bytes() == b""
+        assert len(load_trie(path, corpus, vocab)) == 0
+
+
+@pytest.fixture
+def snapshot(tmp_path):
+    """A real dump of the DocIDs "a #" and "b # y", with its corpus, vocabulary and token ids.
+
+    Its five lines are ``0 a 0 / 1 # 1 / 0 b 0 / 1 # 0 / 2 y 1``.
+    """
+    corpus = corpus_from_rows([("1", "a", "", "t."), ("2", "b", "y", "t.")])
+    vocab = build_vocabulary(corpus, [])
+    ids = {name: vocab.token_to_id[token] for name, token in
+           [("a", "a"), ("b", "b"), ("hash", "#"), ("y", "y")]}
+    path = tmp_path / "trie.txt"
+    dump_trie(build_trie(corpus, vocab), path)
+    layout = ["0\t{a}\t0", "1\t{hash}\t1", "0\t{b}\t0", "1\t{hash}\t0", "2\t{y}\t1"]
+    assert path.read_text(encoding="utf-8").splitlines() == [l.format(**ids) for l in layout]
+    return SimpleNamespace(path=path, corpus=corpus, vocab=vocab, ids=ids)
+
+
+def assert_rejected_at(snapshot, text, bad_line, vocab=None):
+    """Write ``text`` over the snapshot; loading it must fail naming ``bad_line``."""
+    path = snapshot.path
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(TrieError, match=f"^{re.escape(str(path))}:{bad_line}: found "):
+        load_trie(path, snapshot.corpus, vocab or snapshot.vocab)
 
 
 @pytest.mark.parametrize("lines, bad_line", [
-    (["-1\t8\t1"], 1),  # negative depth
-    (["0\t2\t1"], 1),  # reserved token id
-    (["0\t-3\t1"], 1),  # negative token id
-    (["0\t7\t0", "1\t8\t1", "0\t7\t1"], 3),  # token repeated under one parent
-    (["0\t7\t0", "2\t8\t1"], 2),  # depth skips a level
-    (["0\t7\t0", "1\tx\t1"], 2),  # non-integer field
-    (["0\t7\t1", "0\t8\t0"], 2),  # leaf that ends no DocID, last line
-    (["0\t7\t0", "0\t8\t1"], 1),  # leaf that ends no DocID, before a sibling
+    ({1: "-1\t{a}\t0"}, 1),  # negative depth
+    ({1: "0\t2\t0"}, 1),  # reserved token id
+    ({1: "0\t-3\t0"}, 1),  # negative token id
+    ({3: "0\t{a}\t0"}, 3),  # token repeated under one parent
+    ({2: "2\t{hash}\t1"}, 2),  # depth skips a level
+    ({2: "1\t{hash}\t0", 3: None}, 2),  # leaf that ends no DocID, last line
+    ({2: "1\t{hash}\t0"}, 2),  # leaf that ends no DocID, before a sibling
+    ({1: "0\tx\t0"}, 1),  # non-integer field
+    ({1: "0\t{b}\t0", 2: "1\t{hash}\t0", 3: "2\t{y}\t1",
+      4: "0\t{a}\t0", 5: "1\t{hash}\t1"}, 1),  # siblings reordered
+    ({2: "1\t {hash}\t1"}, 2),  # padded field
+    ({5: "2\t{y}\t2"}, 5),  # terminal flag other than 0 or 1
 ])
-def test_malformed_snapshot_rejected_with_line(tmp_path, lines, bad_line):
-    path = tmp_path / "trie.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(TrieError, match=f"^{re.escape(str(path))}:{bad_line}: "):
-        load_trie(path)
+def test_malformed_snapshot_rejected_with_line(snapshot, lines, bad_line):
+    """``lines`` maps a line number of the dump to its corruption; None cuts the file there."""
+    dumped = snapshot.path.read_text(encoding="utf-8").splitlines()
+    for lineno, line in sorted(lines.items(), reverse=True):
+        if line is None:
+            del dumped[lineno - 1:]
+        else:
+            dumped[lineno - 1] = line.format(**snapshot.ids)
+    assert_rejected_at(snapshot, "".join(line + "\n" for line in dumped), bad_line)
+
+
+class TestSnapshotIsCanonical:
+    def test_crlf_line_ends(self, snapshot):
+        text = snapshot.path.read_text(encoding="utf-8")
+        assert_rejected_at(snapshot, text.replace("\n", "\r\n"), 1)
+
+    @pytest.mark.parametrize("at", [1, 4, 6])
+    def test_blank_line(self, snapshot, at):
+        lines = snapshot.path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert_rejected_at(snapshot, "".join(lines[:at - 1] + ["\n"] + lines[at - 1:]), at)
+
+    def test_vocabulary_built_differently(self, snapshot):
+        # "aa" sorts between "a" and "b", so the id of b, on line 3, moves up by one
+        other = build_vocabulary(snapshot.corpus, ["aa"])
+        assert other.token_to_id["b"] == snapshot.ids["b"] + 1
+        assert_rejected_at(snapshot, snapshot.path.read_text(encoding="utf-8"), 3, vocab=other)
 
 
 class TestSnapshotBindsOnlyCorpusDocIds:
-    def setup_method(self):
-        self.full = corpus_from_rows([("1", "a", "x", "t."), ("2", "b", "y", "t.")])
-        self.vocab = build_vocabulary(self.full, [])
+    def test_terminal_path_outside_the_corpus(self, snapshot):
+        # line 5 now ends "b # a", which is not a corpus DocID
+        text = snapshot.path.read_text(encoding="utf-8")
+        y_line = "2\t{y}\t1\n".format(**snapshot.ids)
+        assert_rejected_at(snapshot, text.replace(y_line, "2\t{a}\t1\n".format(**snapshot.ids)), 5)
 
-    def test_terminal_path_outside_the_corpus(self, tmp_path):
-        path = tmp_path / "trie.txt"
-        dump_trie(build_trie(self.full, self.vocab), path)
-        # the snapshot's second DocID, "b # y", ends on line 6
-        partial = corpus_from_rows([("1", "a", "x", "t.")])
-        with pytest.raises(TrieError, match=f"^{re.escape(str(path))}:6: terminal path spells "
-                                            "no corpus DocID$"):
-            load_trie(path, corpus=partial, vocab=self.vocab)
-
-    def test_corpus_docid_missing_from_the_snapshot(self, tmp_path):
-        path = tmp_path / "trie.txt"
-        dump_trie(build_trie(corpus_from_rows([("1", "a", "x", "t.")]), self.vocab), path)
-        with pytest.raises(TrieError, match=re.escape(f"{path}: corpus DocID 'b # y' is missing")):
-            load_trie(path, corpus=self.full, vocab=self.vocab)
-
-    def test_without_a_corpus_terminals_stay_placeholders(self, tmp_path):
-        path = tmp_path / "trie.txt"
-        dump_trie(build_trie(self.full, self.vocab), path)
-        assert len(load_trie(path)) == 2
-        assert len(load_trie(path, corpus=self.full)) == 2
-
-
-def return_trip(trie, corpus, vocab, tmp_dir="/tmp"):
-    import tempfile
-
-    def shape(node):
-        return (
-            node.is_terminal,
-            {t: shape(c) for t, c in sorted(node.children.items())},
-        )
-
-    with tempfile.TemporaryDirectory() as d:
-        path = f"{d}/trie.txt"
-        dump_trie(trie, path)
-        structural = load_trie(path)
-        assert shape(structural.root) == shape(trie.root)
-        rebound = load_trie(path, corpus=corpus, vocab=vocab)
-        assert rebound.docid_paths == trie.docid_paths
+    def test_corpus_docid_missing_from_the_snapshot(self, snapshot):
+        # the file stops before "b # y", whose path starts on line 3
+        lines = snapshot.path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert_rejected_at(snapshot, "".join(lines[:2]), 3)

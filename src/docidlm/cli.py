@@ -107,8 +107,6 @@ def build_training_examples(
     config: RunConfig,
 ) -> list[training.TrainingExample]:
     """Deterministic training batch from gold records plus auxiliary tasks."""
-    if config.k_context < 1:
-        raise ValueError(f"k_context must be >= 1, not {config.k_context!r}")
     rng = random.Random(config.seed)
     reranker = training.LexicalOverlapReranker(corpus)
     examples: list[training.TrainingExample] = []
@@ -151,9 +149,13 @@ class Engine:
 
     A stage takes its inputs before its clock starts, so each DEBUG time
     covers that stage alone, and a command builds only the stages it reads.
+    ``k_context`` is checked here, not where a stage reads it, so a command
+    that builds none of those stages still rejects it.
     """
 
     def __init__(self, config: RunConfig):
+        if config.k_context < 1:
+            raise ValueError(f"k_context must be >= 1, not {config.k_context!r}")
         self.config = config
 
     @cached_property

@@ -25,7 +25,7 @@ import numpy as np
 
 from .constraints import SILENT_STOP, GrammarError, GrammarState, Phase, Plan, allowed_mask, step
 from .corpus import Corpus, Document
-from .lm import LmScorer
+from .lm import Context, LmScorer
 from .tokens import ANSWER_OPEN, DOCID_CLOSE, DOCID_OPEN, EOS, Vocabulary, decode, encode
 from .trie import DocIdTrie, ExclusionSet
 
@@ -104,7 +104,7 @@ class _Session:
         self.trie = trie
         self.excl = ExclusionSet(trie)
         self.cost = DecodeCost()
-        self.context: list[int] = []
+        self.context = Context(lm.vocab.size)
         self.trace: list[int] = []
         self.docids: list[str] = []
         self.scores: list[float] = []
@@ -206,7 +206,7 @@ def _generate_rag(
     state = session.run(GrammarState(Phase.LIST, plan), Phase.REFS)
     context_docids = tuple(session.docids[:k_context])
     if rebuild_context and context_docids:
-        session.context = []
+        session.context = Context(lm.vocab.size)
         session.ingest(prompt)
     for doc_id in context_docids:
         session.ingest(render_document_tokens(lm.vocab, corpus.get(doc_id), budget))
@@ -271,7 +271,7 @@ def score_sequence(
     lm: LmScorer,
     context: Sequence[int],
     target: Sequence[int],
-    mask_provider: Callable[[list[int]], np.ndarray | None] | None = None,
+    mask_provider: Callable[[Sequence[int]], np.ndarray | None] | None = None,
 ) -> float:
     """Teacher-forced log-probability of ``target`` after ``context``.
 
@@ -282,7 +282,7 @@ def score_sequence(
     if len(target) == 0:
         raise ValueError("target must be non-empty")
     vocab_size = lm.vocab.size
-    prefix = list(context)
+    prefix = Context(vocab_size, context)
     total = 0.0
     for token in target:
         if not 0 <= token < vocab_size:
@@ -296,7 +296,7 @@ def score_sequence(
                     raise ValueError(f"target token {token} not in the provided mask")
                 logprob = float(vector[token]) - _logsumexp(vector[allowed])
         total += logprob
-        prefix.append(token)
+        prefix.extend([token])
     return total
 
 

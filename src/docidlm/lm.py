@@ -50,10 +50,42 @@ class LmScorer(Protocol):
     def next_logprobs(self, context: Sequence[int]) -> np.ndarray: ...
 
 
-def _check_context(vocab_size: int, context: Sequence[int]) -> None:
-    if len(context) and (min(context) < 0 or max(context) >= vocab_size):
-        token = next(token for token in context if not 0 <= token < vocab_size)
+def _check_tokens(vocab_size: int, tokens: Sequence[int]) -> None:
+    if len(tokens) and (min(tokens) < 0 or max(tokens) >= vocab_size):
+        token = next(token for token in tokens if not 0 <= token < vocab_size)
         raise ValueError(f"context token id {token} outside vocabulary of size {vocab_size}")
+
+
+class Context(Sequence[int]):
+    """Append-only token sequence whose tokens are range-checked on entry.
+
+    Scorers read it like a list. A scorer whose vocabulary has the size it
+    was checked against trusts it instead of rescanning it on every call.
+    """
+
+    def __init__(self, vocab_size: int, tokens: Sequence[int] = ()):
+        self.vocab_size = vocab_size
+        self._tokens: list[int] = []
+        self.extend(tokens)
+
+    def extend(self, tokens: Sequence[int]) -> None:
+        """Append ``tokens``; if any is out of range, raise and append none."""
+        _check_tokens(self.vocab_size, tokens)
+        self._tokens.extend(tokens)
+
+    def __len__(self) -> int:
+        return len(self._tokens)
+
+    def __getitem__(self, index):
+        return self._tokens[index]
+
+    def __iter__(self):
+        return iter(self._tokens)
+
+
+def _check_context(vocab_size: int, context: Sequence[int]) -> None:
+    if not (isinstance(context, Context) and context.vocab_size == vocab_size):
+        _check_tokens(vocab_size, context)
 
 
 class UniformLm:

@@ -269,6 +269,9 @@ def test_unread_flag_is_usage_error(workdir, capsys, argv):
     ("rag", ["--budget", "0"], "document budget must be >= 1, not 0"),
     ("rag", ["--budget", "-5"], "document budget must be >= 1, not -5"),
     ("traindata", ["--aux-per-task", "-1"], "aux per-task count must be >= 0, not -1"),
+    # a remote scorer skips the examples stage, the only stage that reads k_context
+    ("retrieve", ["--remote-lm", "http://127.0.0.1:9/", "--k-context", "-3"],
+     "k_context must be >= 1, not -3"),
 ])
 def test_out_of_range_number_exits_naming_it(workdir, capsys, command, flags, named):
     code = run([command, "--corpus", workdir / "corpus.jsonl", "--gold", workdir / "gold.jsonl",

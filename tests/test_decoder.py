@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from docidlm import decoder, lm as lm_module
 from docidlm.constraints import GrammarState, Phase, allowed_mask, scan_state
 from docidlm.decoder import (
+    DecodeCost,
     DecodeError,
     GrammarError,
     ParsedTrace,
@@ -295,6 +297,36 @@ class TestRag:
             generate_rag(lm, trie, corpus, "q", k_retrieve=1, k_context=2)
         with pytest.raises(DecodeError):
             generate_rag(lm, trie, corpus, "q", k_retrieve=1, k_context=0)
+
+
+def test_each_context_token_is_range_checked_once(monkeypatch):
+    checked, costs = [], []
+    check = lm_module._check_tokens
+
+    def counting_check(vocab_size, tokens):
+        checked.append(len(tokens))
+        check(vocab_size, tokens)
+
+    def recorded_cost():
+        costs.append(DecodeCost())
+        return costs[-1]
+
+    monkeypatch.setattr(lm_module, "_check_tokens", counting_check)
+    monkeypatch.setattr(decoder, "DecodeCost", recorded_cost)
+    corpus, vocab, trie, lm, queries = random_instance(random.Random(97), 12)
+    for generate in (generate_rag, generate_rag_pipeline, generate_docid_list):
+        checked.clear()
+        if generate is generate_docid_list:
+            generate(lm, trie, queries[0], k=4)
+        else:
+            assert generate(lm, trie, corpus, queries[0], k_retrieve=4, k_context=2).context_docids
+        assert costs[-1].scorer_calls > 1
+        # each token once, when it enters the context, not once per scorer call
+        assert sum(checked) == costs[-1].context_tokens, generate.__name__
+    checked.clear()
+    context, target = encode(vocab, queries[0]), encode(vocab, queries[1])
+    score_sequence(lm, context, target)
+    assert sum(checked) == len(context) + len(target)
 
 
 class TestRenderDocument:

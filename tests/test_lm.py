@@ -14,6 +14,7 @@ import pytest
 
 from docidlm.lm import (
     LOG_FLOOR,
+    Context,
     NgramLm,
     RemoteLm,
     RemoteProtocolError,
@@ -44,21 +45,35 @@ class TestUniform:
             lm.next_logprobs([99])
 
 
+# (context, its first id outside a size-7 vocabulary)
+BAD_CONTEXTS = [
+    ([-1], -1),
+    ([7], 7),
+    ([0, 6, 3, 7, -2, 99], 7),
+    ([1, 2, -3, 8], -3),
+    ([5, 5, 5, 5, 100, 1], 100),
+]
+
+
 class TestContextCheck:
     @pytest.mark.parametrize("as_array", [False, True])
-    @pytest.mark.parametrize("context, first_bad", [
-        ([-1], -1),
-        ([7], 7),
-        ([0, 6, 3, 7, -2, 99], 7),
-        ([1, 2, -3, 8], -3),
-        ([5, 5, 5, 5, 100, 1], 100),
-    ])
+    @pytest.mark.parametrize("context, first_bad", BAD_CONTEXTS)
     def test_message_names_first_out_of_range_id(self, context, first_bad, as_array):
         lm = UniformLm(small_vocab(0))  # size 7
         if as_array:
             context = np.array(context, dtype=np.int64)
         with pytest.raises(ValueError, match=f"^context token id {first_bad} outside vocabulary of size 7$"):
             lm.next_logprobs(context)
+
+    @pytest.mark.parametrize("context, first_bad", BAD_CONTEXTS)
+    def test_context_extend_names_first_out_of_range_id(self, context, first_bad):
+        checked = Context(7, [0, 6])
+        message = f"^context token id {first_bad} outside vocabulary of size 7$"
+        with pytest.raises(ValueError, match=message):
+            checked.extend(context)
+        assert list(checked) == [0, 6]  # nothing appended
+        with pytest.raises(ValueError, match=message):
+            Context(7, context)
 
     @pytest.mark.parametrize("as_array", [False, True])
     def test_in_range_contexts_pass(self, as_array):
@@ -67,6 +82,21 @@ class TestContextCheck:
             if as_array:
                 context = np.array(context, dtype=np.int64)
             assert lm.next_logprobs(context).shape == (7,)
+            assert lm.next_logprobs(Context(7, context)).shape == (7,)
+
+    def test_context_reads_like_a_list(self):
+        checked = Context(7, [0, 6])
+        checked.extend([3])
+        checked.extend([])
+        assert (len(checked), checked[0], checked[-1], checked[1:], list(checked)) == \
+            (3, 0, 3, [6, 3], [0, 6, 3])
+
+    @pytest.mark.parametrize("lm", [UniformLm(small_vocab(0)),
+                                    train_ngram(small_vocab(0), [[0, 1, 2]], order=2)])
+    def test_context_checked_against_a_larger_vocabulary_is_rescanned(self, lm):
+        checked = Context(9, [0, 8, 3])
+        with pytest.raises(ValueError, match="^context token id 8 outside vocabulary of size 7$"):
+            lm.next_logprobs(checked)
 
 
 class TestNgramArithmetic:
@@ -434,10 +464,12 @@ class TestKeepAlive:
         try:
             from_list = lm.next_logprobs([0, 6, 3])
             from_array = lm.next_logprobs(np.array([0, 6, 3], dtype=np.int64))
+            from_context = lm.next_logprobs(Context(7, [0, 6, 3]))
         finally:
             lm.close()
-        assert server.bodies == [b'{"context": [0, 6, 3]}'] * 2
+        assert server.bodies == [b'{"context": [0, 6, 3]}'] * 3
         assert from_array.tobytes() == from_list.tobytes()
+        assert from_context.tobytes() == from_list.tobytes()
         assert from_list.tolist() == _context_vector([0, 6, 3])
 
     def test_stale_socket_is_retried_once(self, keepalive_server):

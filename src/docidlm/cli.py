@@ -14,7 +14,7 @@ import logging
 import os
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -22,7 +22,8 @@ from time import perf_counter
 from typing import Callable
 
 from . import decoder, metrics, training
-from .corpus import Corpus, GoldRecord, ingest_corpus, load_gold
+from .corpus import (Corpus, GoldRecord, ingest_corpus, json_records, load_gold,
+                     load_predictions)
 from .lm import DEFAULT_ALPHA, DEFAULT_ORDER, LmScorer, RemoteLm
 from .tokens import Vocabulary, build_vocabulary, save_vocabulary
 from .trie import DocIdTrie, build_trie, dump_trie
@@ -74,17 +75,7 @@ def _write_json(path, payload: dict) -> None:
 
 def read_jsonl_records(path) -> list[dict]:
     """Read line records, skipping embedded configuration lines."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "_config" in record:
-                continue
-            records.append(record)
-    return records
+    return list(json_records(path, "artifact", lambda raw: None if "_config" in raw else raw))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +190,11 @@ class Engine:
         with build_stage("trie"):
             return build_trie(corpus, vocab)
 
+    def close(self) -> None:
+        """Close the remote scorer, if this run built one."""
+        if isinstance(self.__dict__.get("lm"), RemoteLm):
+            self.lm.close()
+
 
 # ---------------------------------------------------------------------------
 # Commands
@@ -244,16 +240,16 @@ def cmd_traindata(config: RunConfig) -> None:
 
 
 def cmd_retrieve(config: RunConfig) -> None:
-    engine = Engine(config)
-    lm, trie = engine.lm, engine.trie
-    records = []
-    for gold in engine.gold_records:
-        ranked = decoder.generate_docid_list(lm, trie, gold.input, config.k_retrieve)
-        records.append({
-            "query_id": gold.query_id,
-            "docids": list(ranked.docids),
-            "per_docid_logprob": list(ranked.per_docid_logprob),
-        })
+    with closing(Engine(config)) as engine:
+        lm, trie = engine.lm, engine.trie
+        records = []
+        for gold in engine.gold_records:
+            ranked = decoder.generate_docid_list(lm, trie, gold.input, config.k_retrieve)
+            records.append({
+                "query_id": gold.query_id,
+                "docids": list(ranked.docids),
+                "per_docid_logprob": list(ranked.per_docid_logprob),
+            })
     _write_jsonl(config.out, config, records)
 
 
@@ -261,28 +257,28 @@ RAG_MODES = {"continuous": decoder.generate_rag, "pipeline": decoder.generate_ra
 
 
 def cmd_rag(config: RunConfig) -> None:
-    engine = Engine(config)
-    lm, trie = engine.lm, engine.trie
     generate = RAG_MODES[config.mode]
-    records = []
-    for gold in engine.gold_records:
-        result = generate(lm, trie, engine.corpus, gold.input, k_retrieve=config.k_retrieve,
-                          k_context=config.k_context, budget=config.budget)
-        records.append(decoder.rag_result_record(gold.query_id, result))
+    with closing(Engine(config)) as engine:
+        lm, trie = engine.lm, engine.trie
+        records = []
+        for gold in engine.gold_records:
+            result = generate(lm, trie, engine.corpus, gold.input, k_retrieve=config.k_retrieve,
+                              k_context=config.k_context, budget=config.budget)
+            records.append(decoder.rag_result_record(gold.query_id, result))
     _write_jsonl(config.out, config, records)
 
 
 def cmd_loss(config: RunConfig) -> None:
-    engine = Engine(config)
-    lm, examples = engine.lm, engine.examples
-    breakdown = training.combined_loss(lm, examples, lambdas=config.lambdas, tau=config.tau)
+    with closing(Engine(config)) as engine:
+        lm, examples = engine.lm, engine.examples
+        breakdown = training.combined_loss(lm, examples, lambdas=config.lambdas, tau=config.tau)
     _write_json(config.out, {"config": config.as_dict(), "losses": breakdown.as_dict(),
                              "example_count": len(examples)})
 
 
 def cmd_eval(config: RunConfig) -> None:
     golds = load_gold(config.gold)
-    predictions = read_jsonl_records(config.predictions)
+    predictions = load_predictions(config.predictions)
     report = metrics.evaluate_run(predictions, golds, metrics.TaskCategory(config.category))
     metrics.write_report(report, config.out, config.per_query_out or None, config=config.as_dict())
     for warning in report.warnings:
@@ -301,12 +297,14 @@ class Command:
     help: str
     flags: tuple[str, ...]
     required: tuple[str, ...] = ("corpus",)
+    remote_unread: tuple[str, ...] = ()  # flags it takes but does not read with --remote-lm
 
 
-# What the examples stage reads, and what the scorer built on it adds.
-_EXAMPLE_FLAGS = ("corpus", "gold", "k_retrieve", "k_context", "tau", "bm25_k1", "bm25_b",
-                  "seed", "aux_per_task")
-_SCORER_FLAGS = _EXAMPLE_FLAGS + ("ngram_order", "alpha", "remote_lm")
+# What the examples stage reads (the last five only it), and what the fit adds.
+_EXAMPLES_ONLY = ("tau", "bm25_k1", "bm25_b", "seed", "aux_per_task")
+_EXAMPLE_FLAGS = ("corpus", "gold", "k_retrieve", "k_context") + _EXAMPLES_ONLY
+_FIT_FLAGS = ("ngram_order", "alpha")
+_SCORER_FLAGS = _EXAMPLE_FLAGS + _FIT_FLAGS + ("remote_lm",)
 
 COMMANDS = {
     "ingest": Command(cmd_ingest, "validate and normalize a corpus file", ("corpus",)),
@@ -315,11 +313,11 @@ COMMANDS = {
     "traindata": Command(cmd_traindata, "construct the multi-task training examples",
                          _EXAMPLE_FLAGS),
     "retrieve": Command(cmd_retrieve, "constrained greedy DocID-list decoding per gold query",
-                        _SCORER_FLAGS),
+                        _SCORER_FLAGS, remote_unread=_EXAMPLES_ONLY + _FIT_FLAGS),
     "rag": Command(cmd_rag, "continuous or pipeline DocIDs-References-Answer decoding",
-                   _SCORER_FLAGS + ("budget", "mode")),
+                   _SCORER_FLAGS + ("budget", "mode"), remote_unread=_EXAMPLES_ONLY + _FIT_FLAGS),
     "loss": Command(cmd_loss, "teacher-forced loss breakdown over the training examples",
-                    _SCORER_FLAGS + ("lambdas",)),
+                    _SCORER_FLAGS + ("lambdas",), remote_unread=_FIT_FLAGS),
     "eval": Command(cmd_eval, "score a predictions file against gold records",
                     ("predictions", "category", "gold", "per_query_out"),
                     required=("predictions", "category", "gold")),
@@ -372,13 +370,17 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("CORPUSLM_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    args = vars(build_parser().parse_args(argv))
+    parser = build_parser()
+    args = vars(parser.parse_args(argv))
     name = args.pop("command")
     command = COMMANDS[name]
     config = RunConfig(**{key: value for key, value in args.items() if value is not None})
     for field_name in command.required:
         if not getattr(config, field_name):
             raise SystemExit(f"missing {_flag_name(field_name)}")
+    for field_name in command.remote_unread:
+        if config.remote_lm and args[field_name] is not None:
+            parser.error(f"{name} --remote-lm does not read {_flag_name(field_name)}")
     try:
         command.run(config)
     except Exception as exc:

@@ -22,7 +22,7 @@ a randomized equivalence suite. The automaton tracks its DocID span with
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -177,13 +177,13 @@ def step(state: GrammarState, token: int) -> GrammarState:
             raise GrammarError(f"token {token} not allowed in phase {state.phase.value}")
     elif state.phase is Phase.DOCID and not state.span.inner_prefix:
         raise GrammarError("empty DocID span")
-    nxt = replace(
-        state,
-        phase=phase,
-        span=step_state(state.span, token),
-        docids=state.docids + (token == DOCID_CLOSE),
-        refs=state.refs + (token == REF_CLOSE),
-        length=state.length + 1 if phase is state.phase else 0,
+    nxt = GrammarState(
+        phase,
+        state.plan,
+        step_state(state.span, token),
+        state.docids + (token == DOCID_CLOSE),
+        state.refs + (token == REF_CLOSE),
+        state.length + 1 if phase is state.phase else 0,
     )
     if nxt.phase in SILENT_STOP and _spent(nxt):
         return step(nxt, EOS)

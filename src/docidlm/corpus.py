@@ -3,7 +3,8 @@
 Corpus files are line-delimited JSON with fields ``id``, ``title``,
 ``section``, ``text``. Gold files are line-delimited JSON with ``id``,
 ``input`` and ``output`` (a list of objects carrying ``answer`` and/or
-``provenance`` entries with ``title`` and ``section``).
+``provenance`` entries with ``title`` and ``section``). Prediction files
+carry ``query_id`` and optionally ``docids`` and ``answer``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Any, Callable, Iterator
 
 from .tokens import split_words
 
@@ -132,12 +134,19 @@ def _string_field(record: dict, name: str, default: str | None = None) -> str:
     return value
 
 
-def _id_field(record: dict) -> str:
-    """``record["id"]``, a JSON string or integer, as a string."""
-    value = record["id"]
+def _id_field(record: dict, name: str = "id") -> str:
+    """``record[name]``, a JSON string or integer, as a string."""
+    value = record[name]
     if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise CorpusError(f"field 'id' must be a string or an integer, not {type(value).__name__}")
+        raise CorpusError(f"field {name!r} must be a string or an integer, not {type(value).__name__}")
     return str(value)
+
+
+def _string_list_field(record: dict, name: str) -> list[str]:
+    value = record[name]
+    if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
+        raise CorpusError(f"field {name!r} must be a list of strings")
+    return value
 
 
 def _object(value, what: str) -> dict:
@@ -146,31 +155,35 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def json_records(path, what: str, parse: Callable[[dict], Any]) -> Iterator[Any]:
+    """``parse`` of each non-blank line's JSON object, None skipped; faults name ``path:line``."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    item = parse(_object(json.loads(line), "record"))
+                except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
+                    raise CorpusError(f"{path}:{lineno}: malformed {what} record: {exc}") from exc
+                if item is not None:
+                    yield item
+
+
 def ingest_corpus(path, max_in_memory_documents: int = MAX_IN_MEMORY_DOCUMENTS) -> Corpus:
     """Read a line-delimited corpus file into an immutable Corpus."""
     documents: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if len(documents) >= max_in_memory_documents:
-                raise CorpusError(
-                    f"{path}: more than {max_in_memory_documents} documents; "
-                    "a persisted on-disk document store is required at this scale"
-                )
-            try:
-                record = _object(json.loads(line), "record")
-                doc = make_document(
-                    source_id=_id_field(record),
-                    title=_string_field(record, "title"),
-                    section=_string_field(record, "section"),
-                    text=_string_field(record, "text"),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed corpus record: {exc}") from exc
-            documents.append(doc)
+    for doc in json_records(path, "corpus", _parse_document):
+        if len(documents) >= max_in_memory_documents:
+            raise CorpusError(
+                f"{path}: more than {max_in_memory_documents} documents; "
+                "a persisted on-disk document store is required at this scale"
+            )
+        documents.append(doc)
     return build_corpus(documents)
+
+
+def _parse_document(record: dict) -> Document:
+    return make_document(_id_field(record), _string_field(record, "title"),
+                         _string_field(record, "section"), _string_field(record, "text"))
 
 
 @dataclass(frozen=True)
@@ -190,25 +203,20 @@ class GoldRecord:
 
 
 def load_gold(path) -> list[GoldRecord]:
-    """Read a line-delimited gold file."""
-    records: dict[str, GoldRecord] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = _parse_gold_record(json.loads(line))
-                if record.query_id in records:
-                    raise CorpusError(f"id {record.query_id!r} repeats an earlier record")
-            except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed gold record: {exc}") from exc
-            records[record.query_id] = record
-    return list(records.values())
+    """Read a line-delimited gold file; each query id may occur once."""
+    seen: set[str] = set()
+
+    def parse(raw: dict) -> GoldRecord:
+        record = _parse_gold_record(raw)
+        if record.query_id in seen:
+            raise CorpusError(f"id {record.query_id!r} repeats an earlier record")
+        seen.add(record.query_id)
+        return record
+
+    return list(json_records(path, "gold", parse))
 
 
-def _parse_gold_record(raw) -> GoldRecord:
-    raw = _object(raw, "record")
+def _parse_gold_record(raw: dict) -> GoldRecord:
     outputs = raw.get("output", [])
     if not isinstance(outputs, list):
         raise CorpusError(f"field 'output' must be a list, not {type(outputs).__name__}")
@@ -239,3 +247,19 @@ def _parse_gold_record(raw) -> GoldRecord:
         provenance=tuple(flat),
         provenance_groups=tuple(groups),
     )
+
+
+def load_predictions(path) -> list[dict]:
+    """Each record's ``query_id``, as a string, and ``docids`` and ``answer`` where present."""
+    return list(json_records(path, "prediction", _parse_prediction))
+
+
+def _parse_prediction(raw: dict) -> dict | None:
+    if "_config" in raw:
+        return None
+    record = {"query_id": _id_field(raw, "query_id")}
+    if "docids" in raw:
+        record["docids"] = _string_list_field(raw, "docids")
+    if "answer" in raw:
+        record["answer"] = _string_field(raw, "answer")
+    return record

@@ -12,7 +12,6 @@ import http.client
 import json
 import math
 import threading
-from functools import partial
 from itertools import chain, repeat
 from typing import Protocol, Sequence
 from urllib.parse import urlsplit
@@ -207,93 +206,40 @@ _JSON_HEADERS = {"Content-Type": "application/json"}
 _STALE_SOCKET = (BrokenPipeError, ConnectionResetError)
 
 
-class _Transport:
-    """POSTs JSON bodies to one endpoint over one connection per thread.
-
-    A server that keeps the connection alive (HTTP/1.1 without
-    ``Connection: close``) is reached over the same socket on every call; any
-    other server gets a fresh connect per call. A reused socket the server has
-    since closed is retried once on a fresh connection; nothing else is
-    retried.
-    """
-
-    def __init__(self, endpoint: str, timeout: float):
-        parts = urlsplit(endpoint)
-        connection_class = _CONNECTION_CLASSES.get(parts.scheme)
-        if connection_class is None or not parts.hostname:
-            raise ValueError(f"remote scorer endpoint {endpoint!r} is not an "
-                             "http:// or https:// URL with a host")
-        self.endpoint = endpoint
-        self._connect = partial(connection_class, parts.hostname,
-                                parts.port or connection_class.default_port, timeout=timeout)
-        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        self._lock = threading.Lock()
-        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
-
-    def _connection(self) -> http.client.HTTPConnection:
-        """The calling thread's connection; closes those of finished threads."""
-        thread = threading.current_thread()
-        connection = self._connections.get(thread)
-        if connection is None:
-            connection = self._connect()
-            with self._lock:
-                for finished in [t for t in self._connections if not t.is_alive()]:
-                    self._connections.pop(finished).close()
-                self._connections[thread] = connection
-        return connection
-
-    def post(self, body: bytes) -> tuple[int, bytes]:
-        """Send ``body``; return the reply's status and body."""
-        connection = self._connection()
-        reused = connection.sock is not None
-        try:
-            try:
-                response = self._send(connection, body)
-            except _STALE_SOCKET:
-                if not reused:
-                    raise
-                connection.close()
-                response = self._send(connection, body)
-            return response.status, response.read()
-        except OSError as exc:
-            connection.close()
-            raise RemoteTimeoutError(f"remote scorer at {self.endpoint} unreachable: {exc}") from exc
-        except http.client.HTTPException as exc:
-            connection.close()
-            raise RemoteProtocolError(f"malformed response from {self.endpoint}: {exc}") from exc
-
-    def _send(self, connection: http.client.HTTPConnection,
-              body: bytes) -> http.client.HTTPResponse:
-        connection.request("POST", self._target, body, _JSON_HEADERS)
-        return connection.getresponse()
-
-    def close(self) -> None:
-        """Close every thread's connection; the next call connects afresh."""
-        with self._lock:
-            connections, self._connections = list(self._connections.values()), {}
-        for connection in connections:
-            connection.close()
-
-
 class RemoteLm:
     """LmScorer backed by a network endpoint speaking the logprobs protocol.
 
     Protocol: POST ``{"context": [int, ...]}`` as JSON; the reply must have a
     2xx status and the body ``{"logprobs": [float, ...]}`` with exactly one
-    entry per vocabulary id. The endpoint is checked on construction. Each
-    thread keeps one connection to it; ``close`` closes them all.
+    entry per vocabulary id. The endpoint is checked on construction.
+
+    Each scorer owns one connection, which calls from any thread take in
+    turn. A server that keeps it alive (HTTP/1.1 without ``Connection:
+    close``) is reached over the same socket on every call; any other server
+    gets a fresh connect per call. A reused socket the server has since
+    closed is retried once on a fresh connection; nothing else is retried.
     """
 
     def __init__(self, vocab: Vocabulary, endpoint: str, timeout: float = 30.0):
+        parts = urlsplit(endpoint)
+        connection_class = _CONNECTION_CLASSES.get(parts.scheme)
+        if connection_class is None or not parts.hostname:
+            raise ValueError(f"remote scorer endpoint {endpoint!r} is not an "
+                             "http:// or https:// URL with a host")
         self.vocab = vocab
-        self._transport = _Transport(endpoint, timeout)
+        self._endpoint = endpoint
+        # http.client connects on the first request, and again after close()
+        self._connection = connection_class(
+            parts.hostname, parts.port or connection_class.default_port, timeout=timeout)
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._lock = threading.Lock()
 
     def next_logprobs(self, context: Sequence[int]) -> np.ndarray:
         _check_context(self.vocab.size, context)
-        endpoint = self._transport.endpoint
+        endpoint = self._endpoint
         # default=int writes numpy integer ids as JSON ints; list contexts are unaffected
         body = json.dumps({"context": list(context)}, default=int).encode()
-        status, data = self._transport.post(body)
+        status, data = self._post(body)
         if not 200 <= status < 300:
             raise RemoteProtocolError(f"remote scorer at {endpoint} answered HTTP status {status}")
         try:
@@ -308,6 +254,33 @@ class RemoteLm:
             raise RemoteProtocolError(f"remote response from {endpoint} contains NaN")
         return np.maximum(vector, LOG_FLOOR)
 
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """Send ``body``; return the reply's status and body."""
+        with self._lock:
+            reused = self._connection.sock is not None
+            try:
+                try:
+                    response = self._send(body)
+                except _STALE_SOCKET:
+                    if not reused:
+                        raise
+                    self._connection.close()
+                    response = self._send(body)
+                return response.status, response.read()
+            except OSError as exc:
+                self._connection.close()
+                raise RemoteTimeoutError(
+                    f"remote scorer at {self._endpoint} unreachable: {exc}") from exc
+            except http.client.HTTPException as exc:
+                self._connection.close()
+                raise RemoteProtocolError(
+                    f"malformed response from {self._endpoint}: {exc}") from exc
+
+    def _send(self, body: bytes) -> http.client.HTTPResponse:
+        self._connection.request("POST", self._target, body, _JSON_HEADERS)
+        return self._connection.getresponse()
+
     def close(self) -> None:
-        """Close every thread's connection; a later call connects afresh."""
-        self._transport.close()
+        """Close the connection; a later call connects afresh."""
+        with self._lock:
+            self._connection.close()

@@ -1,13 +1,19 @@
 import argparse
+import gc
 import json
 import logging
+import math
 import re
+import threading
+import warnings
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from docidlm.cli import COMMANDS, RunConfig, build_parser, main, read_jsonl_records
-from docidlm.corpus import ingest_corpus
+from docidlm.cli import (COMMANDS, RunConfig, build_parser, engine_vocabulary, main,
+                         read_jsonl_records)
+from docidlm.corpus import ingest_corpus, load_gold
 from docidlm.tokens import load_vocabulary
 from docidlm.training import parse_example_record
 from docidlm.trie import TrieError, build_trie, load_trie
@@ -214,6 +220,34 @@ class TestEval:
         rows = [json.loads(l) for l in table.read_text().splitlines()]
         assert [r["query_id"] for r in rows] == ["q1", "q2", "q3"]
 
+    @pytest.mark.parametrize("line, named", [
+        pytest.param('{"query_id": "q1", "docids": "Mars # overview"}',
+                     "field 'docids' must be a list of strings", id="docids-string"),
+        pytest.param('{"query_id": "q1", "docids": ["Mars # overview", 3]}',
+                     "field 'docids' must be a list of strings", id="docids-int-item"),
+        pytest.param('{"query_id": "q1", "answer": 5}',
+                     "field 'answer' must be a string, not int", id="answer-int"),
+        pytest.param('{"docids": ["Mars # overview"]}',
+                     "malformed prediction record: 'query_id'", id="no-query-id"),
+        pytest.param('{"query_id": true, "docids": []}',
+                     "field 'query_id' must be a string or an integer", id="query-id-bool"),
+        pytest.param('{"query_id": 1.5, "docids": []}',
+                     "field 'query_id' must be a string or an integer", id="query-id-float"),
+        pytest.param('["q1"]', "record must be a JSON object, not list", id="array"),
+        pytest.param("not json", "malformed prediction record: Expecting value", id="not-json"),
+    ])
+    def test_malformed_prediction_fails_naming_field_and_line(self, tmp_path, capsys, line, named):
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text('{"_config": {}}\n'
+                               '{"query_id": "q1", "docids": ["Mars # overview"], "answer": "mars"}\n'
+                               + line + "\n")
+        code = run(["eval", "--gold", DEMO_DATA / "gold.jsonl", "--predictions", predictions,
+                    "--category", "qa", "--out", tmp_path / "report.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{predictions}:3: malformed prediction record" in err
+        assert named in err
+
 
 def test_log_env_variable_accepted(workdir, monkeypatch):
     monkeypatch.setenv("CORPUSLM_LOG", "DEBUG")
@@ -278,6 +312,95 @@ def test_out_of_range_number_exits_naming_it(workdir, capsys, command, flags, na
                 "--out", workdir / "out"] + flags)
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+REMOTE = ["--remote-lm", "http://127.0.0.1:9/"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("retrieve", ["--tau", "7"]),
+    ("retrieve", ["--bm25-k1", "1.2"]),
+    ("retrieve", ["--bm25-b", "5"]),
+    ("retrieve", ["--seed", "0"]),
+    ("retrieve", ["--aux-per-task", "-1"]),
+    ("retrieve", ["--ngram-order", "0"]),
+    ("retrieve", ["--alpha", "-1"]),
+    ("retrieve", ["--alpha", "inf"]),
+    ("rag", ["--tau", "0.5"]),
+    ("rag", ["--seed", "1"]),
+    ("rag", ["--ngram-order", "2"]),
+    ("loss", ["--ngram-order", "2"]),
+    ("loss", ["--alpha", "inf"]),
+])
+def test_remote_decode_refuses_flag_it_does_not_read(workdir, capsys, command, flags):
+    # with --remote-lm, no examples or fit are built, so their flags are unread
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--corpus", workdir / "corpus.jsonl", "--out", workdir / "out"]
+            + REMOTE + flags)
+    assert exc.value.code == 2
+    assert f"{command} --remote-lm does not read {flags[0]}" in capsys.readouterr().err
+
+
+class _UniformKeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 scorer that keeps every connection open and answers uniform logprobs."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        size = self.server.vocab_size
+        data = json.dumps({"logprobs": [-math.log(size)] * size}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def demo_scorer():
+    """A keep-alive scorer for the demos/data vocabulary; yields (server, endpoint)."""
+    vocab = engine_vocabulary(ingest_corpus(DEMO_DATA / "corpus.jsonl"),
+                              load_gold(DEMO_DATA / "gold.jsonl"))
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _UniformKeepAliveHandler)
+    server.vocab_size, server.connections, server.lock = vocab.size, 0, threading.Lock()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server, f"http://127.0.0.1:{server.server_port}/score"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("retrieve", ["--k-retrieve", "2", "--k-context", "1"]),
+    ("rag", ["--k-retrieve", "2", "--k-context", "1", "--budget", "5", "--mode", "pipeline"]),
+    ("loss", ["--k-retrieve", "2", "--tau", "0.3", "--bm25-k1", "1", "--bm25-b", "0.5",
+              "--seed", "2", "--aux-per-task", "1", "--lambda", "1,1,1,1"]),
+])
+def test_remote_command_reads_its_flags_and_closes_its_connection(tmp_path, demo_scorer,
+                                                                  command, flags):
+    server, endpoint = demo_scorer
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code = run([command, "--corpus", DEMO_DATA / "corpus.jsonl",
+                    "--gold", DEMO_DATA / "gold.jsonl", "--remote-lm", endpoint,
+                    "--out", tmp_path / "out"] + flags)
+        gc.collect()
+    assert code == 0
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    # every call of the command went over the one kept-alive connection
+    assert server.connections == 1
 
 
 def test_retrieval_quality_on_fixture(workdir):

@@ -543,7 +543,19 @@ class TestKeepAlive:
             sys.setswitchinterval(interval)
             lm.close()
         assert wrong == []
-        assert (server.connections, server.requests) == (2, 80)
+        assert (server.connections, server.requests) == (1, 80)
+
+    def test_call_after_close_reconnects(self, keepalive_server):
+        server, endpoint = keepalive_server()
+        lm = RemoteLm(small_vocab(0), endpoint, timeout=2.0)
+        try:
+            assert lm.next_logprobs([1]).tolist() == _context_vector([1])
+            lm.close()
+            assert lm.next_logprobs([2]).tolist() == _context_vector([2])
+        finally:
+            lm.close()
+            lm.close()
+        assert (server.connections, server.requests) == (2, 2)
 
 
 def test_import_does_not_load_requests():

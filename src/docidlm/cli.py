@@ -61,9 +61,9 @@ class RunConfig:
         return payload
 
 
-def _write_jsonl(path: str, config: RunConfig, records: list[dict]) -> None:
+def _write_jsonl(path, records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for record in [{"_config": config.as_dict()}] + records:
+        for record in records:
             fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
 
 
@@ -215,7 +215,7 @@ def cmd_ingest(config: RunConfig) -> None:
     ]
     stats = {"_stats": {"document_count": corpus.stats.document_count,
                         "token_count": corpus.stats.token_count}}
-    _write_jsonl(config.out, config, [stats] + records)
+    _write_jsonl(config.out, [{"_config": config.as_dict()}, stats] + records)
     logger.info("ingested %d documents", corpus.stats.document_count)
 
 
@@ -236,7 +236,7 @@ def cmd_index(config: RunConfig) -> None:
 
 def cmd_traindata(config: RunConfig) -> None:
     records = [training.example_record(ex) for ex in Engine(config).examples]
-    _write_jsonl(config.out, config, records)
+    _write_jsonl(config.out, [{"_config": config.as_dict()}] + records)
 
 
 def cmd_retrieve(config: RunConfig) -> None:
@@ -250,7 +250,7 @@ def cmd_retrieve(config: RunConfig) -> None:
                 "docids": list(ranked.docids),
                 "per_docid_logprob": list(ranked.per_docid_logprob),
             })
-    _write_jsonl(config.out, config, records)
+    _write_jsonl(config.out, [{"_config": config.as_dict()}] + records)
 
 
 RAG_MODES = {"continuous": decoder.generate_rag, "pipeline": decoder.generate_rag_pipeline}
@@ -265,7 +265,7 @@ def cmd_rag(config: RunConfig) -> None:
             result = generate(lm, trie, engine.corpus, gold.input, k_retrieve=config.k_retrieve,
                               k_context=config.k_context, budget=config.budget)
             records.append(decoder.rag_result_record(gold.query_id, result))
-    _write_jsonl(config.out, config, records)
+    _write_jsonl(config.out, [{"_config": config.as_dict()}] + records)
 
 
 def cmd_loss(config: RunConfig) -> None:
@@ -280,7 +280,9 @@ def cmd_eval(config: RunConfig) -> None:
     golds = load_gold(config.gold)
     predictions = load_predictions(config.predictions)
     report = metrics.evaluate_run(predictions, golds, metrics.TaskCategory(config.category))
-    metrics.write_report(report, config.out, config.per_query_out or None, config=config.as_dict())
+    _write_json(config.out, {"config": config.as_dict(), **report.as_dict()})
+    if config.per_query_out:
+        _write_jsonl(config.per_query_out, report.per_query)
     for warning in report.warnings:
         logger.warning("%s", warning)
 

@@ -202,18 +202,25 @@ class GoldRecord:
     provenance_groups: tuple[tuple[str, ...], ...]
 
 
-def load_gold(path) -> list[GoldRecord]:
-    """Read a line-delimited gold file; each query id may occur once."""
+def _once_per_id(parse: Callable[[dict], Any], name: str) -> Callable[[dict], Any]:
+    """``parse``, rejecting a parsed record whose ``name`` id repeats an earlier record's."""
     seen: set[str] = set()
 
-    def parse(raw: dict) -> GoldRecord:
-        record = _parse_gold_record(raw)
-        if record.query_id in seen:
-            raise CorpusError(f"id {record.query_id!r} repeats an earlier record")
-        seen.add(record.query_id)
-        return record
+    def parse_once(raw: dict) -> Any:
+        item = parse(raw)
+        if item is not None:
+            record_id = _id_field(raw, name)
+            if record_id in seen:
+                raise CorpusError(f"{name} {record_id!r} repeats an earlier record")
+            seen.add(record_id)
+        return item
 
-    return list(json_records(path, "gold", parse))
+    return parse_once
+
+
+def load_gold(path) -> list[GoldRecord]:
+    """Read a line-delimited gold file; each query id may occur once."""
+    return list(json_records(path, "gold", _once_per_id(_parse_gold_record, "id")))
 
 
 def _parse_gold_record(raw: dict) -> GoldRecord:
@@ -250,8 +257,11 @@ def _parse_gold_record(raw: dict) -> GoldRecord:
 
 
 def load_predictions(path) -> list[dict]:
-    """Each record's ``query_id``, as a string, and ``docids`` and ``answer`` where present."""
-    return list(json_records(path, "prediction", _parse_prediction))
+    """Each record's ``query_id``, as a string, and ``docids`` and ``answer`` where present.
+
+    A ``query_id`` may occur once per file.
+    """
+    return list(json_records(path, "prediction", _once_per_id(_parse_prediction, "query_id")))
 
 
 def _parse_prediction(raw: dict) -> dict | None:

@@ -18,7 +18,7 @@ makes every decode reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,7 +59,7 @@ class DecodeCost:
     context_tokens: int = 0
 
     def as_dict(self) -> dict:
-        return {"scorer_calls": self.scorer_calls, "context_tokens": self.context_tokens}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

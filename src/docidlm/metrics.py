@@ -1,18 +1,17 @@
-"""Retrieval and downstream generation metrics plus the report harness."""
+"""Retrieval and downstream generation metrics, aggregated over a run by ``evaluate_run``."""
 
 from __future__ import annotations
 
-import json
-import logging
+import operator
 import re
 import string
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .corpus import GoldRecord
-
-logger = logging.getLogger(__name__)
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -61,30 +60,22 @@ def accuracy(prediction: str, golds: Sequence[str]) -> int:
     return exact_match(prediction, golds)
 
 
-def _f1_single(pred_tokens: list[str], gold_tokens: list[str]) -> float:
-    if not pred_tokens and not gold_tokens:
+def _f_measure(overlap: int, pred: list[str], gold: list[str]) -> float:
+    """Harmonic mean of ``overlap / len(pred)`` and ``overlap / len(gold)``; 1.0 when both are empty."""
+    if not pred and not gold:
         return 1.0
-    if not pred_tokens or not gold_tokens:
+    if overlap == 0:
         return 0.0
-    common = 0
-    gold_counts: dict[str, int] = {}
-    for tok in gold_tokens:
-        gold_counts[tok] = gold_counts.get(tok, 0) + 1
-    for tok in pred_tokens:
-        if gold_counts.get(tok, 0) > 0:
-            gold_counts[tok] -= 1
-            common += 1
-    if common == 0:
-        return 0.0
-    precision = common / len(pred_tokens)
-    recall = common / len(gold_tokens)
+    precision = overlap / len(pred)
+    recall = overlap / len(gold)
     return 2 * precision * recall / (precision + recall)
 
 
 def f1(prediction: str, golds: Sequence[str]) -> float:
     """Best token-bag F1 over the gold answers."""
-    pred_tokens = _tokens(prediction)
-    return max(_f1_single(pred_tokens, _tokens(g)) for g in golds)
+    pred = _tokens(prediction)
+    return max(_f_measure(sum((Counter(pred) & Counter(gold)).values()), pred, gold)
+               for gold in map(_tokens, golds))
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -104,20 +95,8 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
 
 def rouge_l(prediction: str, golds: Sequence[str]) -> float:
     """Best LCS F-measure (harmonic mean of LCS precision and recall)."""
-    pred_tokens = _tokens(prediction)
-
-    def score(gold: str) -> float:
-        gold_tokens = _tokens(gold)
-        if not pred_tokens and not gold_tokens:
-            return 1.0
-        lcs = _lcs_length(pred_tokens, gold_tokens)
-        if lcs == 0:
-            return 0.0
-        precision = lcs / len(pred_tokens)
-        recall = lcs / len(gold_tokens)
-        return 2 * precision * recall / (precision + recall)
-
-    return max(score(g) for g in golds)
+    pred = _tokens(prediction)
+    return max(_f_measure(_lcs_length(pred, gold), pred, gold) for gold in map(_tokens, golds))
 
 
 def has_answer(prediction: str, golds: Sequence[str]) -> int:
@@ -144,24 +123,17 @@ class TaskCategory(Enum):
     DIALOGUE = "dialogue"
 
 
-# Downstream metric set per task category; retrieval metrics apply whenever
-# the prediction has DocIDs and the gold record has provenance.
+# Downstream metric set per task category, each reported under its function's
+# name; retrieval metrics apply whenever the prediction has DocIDs and the
+# gold record has provenance.
 _ANSWER_METRICS = {
     TaskCategory.RETRIEVAL: (),
-    TaskCategory.FACT_CHECKING: ("accuracy",),
-    TaskCategory.ENTITY_LINKING: ("accuracy",),
-    TaskCategory.SLOT_FILLING: ("accuracy",),
-    TaskCategory.QA: ("exact_match", "f1", "has_answer"),
-    TaskCategory.LONG_FORM_QA: ("rouge_l",),
-    TaskCategory.DIALOGUE: ("f1",),
-}
-
-_ANSWER_METRIC_FNS = {
-    "accuracy": accuracy,
-    "exact_match": exact_match,
-    "f1": f1,
-    "rouge_l": rouge_l,
-    "has_answer": has_answer,
+    TaskCategory.FACT_CHECKING: (accuracy,),
+    TaskCategory.ENTITY_LINKING: (accuracy,),
+    TaskCategory.SLOT_FILLING: (accuracy,),
+    TaskCategory.QA: (exact_match, f1, has_answer),
+    TaskCategory.LONG_FORM_QA: (rouge_l,),
+    TaskCategory.DIALOGUE: (f1,),
 }
 
 RECALL_CUTOFFS = (1, 5, 10)
@@ -177,13 +149,10 @@ class EvalReport:
     warnings: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "task_category": self.task_category,
-            "query_count": self.query_count,
-            "aggregates": self.aggregates,
-            "skipped": self.skipped,
-            "warnings": self.warnings,
-        }
+        """Every field but the per-query table."""
+        payload = asdict(self)
+        del payload["per_query"]
+        return payload
 
 
 def _best_over_groups(metric_fn, retrieved: Sequence[str], record: GoldRecord, *args) -> float:
@@ -205,8 +174,6 @@ def evaluate_run(
     """
     gold_by_id = {g.query_id: g for g in golds}
     per_query: list[dict] = []
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
     skipped: list[str] = []
     warnings: list[str] = []
 
@@ -230,19 +197,17 @@ def evaluate_run(
         answer = pred.get("answer")
         if answer is not None and _ANSWER_METRICS[task_category]:
             if gold.answers:
-                for name in _ANSWER_METRICS[task_category]:
-                    row[name] = float(_ANSWER_METRIC_FNS[name](answer, list(gold.answers)))
+                for metric in _ANSWER_METRICS[task_category]:
+                    row[metric.__name__] = float(metric(answer, list(gold.answers)))
             else:
                 warnings.append(f"query {query_id}: no gold answers, answer metrics skipped")
-
-        for name, value in row.items():
-            if name == "query_id":
-                continue
-            sums[name] = sums.get(name, 0.0) + value
-            counts[name] = counts.get(name, 0) + 1
         per_query.append(row)
 
-    aggregates = {name: sums[name] / counts[name] for name in sorted(sums)}
+    aggregates = {}
+    for name in sorted({key for row in per_query for key in row} - {"query_id"}):
+        values = [row[name] for row in per_query if name in row]
+        # added left to right: ``sum`` compensates rounding from Python 3.12 on
+        aggregates[name] = reduce(operator.add, values, 0.0) / len(values)
     if not per_query:
         warnings.append("no predictions to evaluate")
     return EvalReport(
@@ -254,17 +219,3 @@ def evaluate_run(
         warnings=warnings,
     )
 
-
-def write_report(report: EvalReport, path, per_query_path=None, config: dict | None = None) -> None:
-    """Write the aggregate report as JSON, optionally a per-query JSONL table.
-
-    A ``config`` mapping is embedded under the report's top-level ``config`` key.
-    """
-    payload = report.as_dict() if config is None else {"config": config, **report.as_dict()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    if per_query_path is not None:
-        with open(per_query_path, "w", encoding="utf-8") as fh:
-            for row in report.per_query:
-                fh.write(json.dumps(row, sort_keys=True, allow_nan=False) + "\n")

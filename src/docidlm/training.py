@@ -13,7 +13,7 @@ import logging
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Protocol, Sequence
@@ -67,15 +67,7 @@ class LossBreakdown:
     combined: float
 
     def as_dict(self) -> dict:
-        return {
-            "l_rank": self.l_rank,
-            "l_gen": self.l_gen,
-            "l_ref": self.l_ref,
-            "l_ans": self.l_ans,
-            "l_rag": self.l_rag,
-            "l_aux": self.l_aux,
-            "combined": self.combined,
-        }
+        return asdict(self)
 
 
 @lru_cache(maxsize=1)
@@ -338,64 +330,44 @@ def make_docid_understanding_examples(
     reranker = reranker or LexicalOverlapReranker(corpus)
     doc_ids = sorted(corpus.documents)
     stop = stopwords()
-    examples: list[TrainingExample] = []
 
-    def sample_docs() -> list[Document]:
-        chosen = rng.sample(doc_ids, min(per_task_count, len(doc_ids)))
-        return [corpus.documents[d] for d in chosen]
+    def to_docids(query: str, doc: Document) -> tuple[str, str]:
+        ranked = construct_ranked_docid_list(query, [doc.doc_id], index, reranker, k)
+        return f"{RETRIEVE_PREFIX} {query}", docid_list_target(ranked)
 
-    def ranked_list(query: str, doc_id: str) -> str:
-        return docid_list_target(construct_ranked_docid_list(query, [doc_id], index, reranker, k))
-
-    for doc in sample_docs():  # (a) pseudo query -> DocIDs
+    def pseudo_query(doc: Document) -> tuple[str, str] | None:
         if not doc.sentences:
-            logger.warning("skipping %s for pseudo-query task: no sentences", doc.doc_id)
-            continue
+            return None
         sentence = rng.choice(doc.sentences)
         words = [w for w in split_words(sentence) if w not in stop]
-        pseudo_query = " ".join(words) if words else " ".join(split_words(sentence))
-        examples.append(TrainingExample(
-            task=Task.AUX_QUERY2DOCIDS,
-            input=f"{RETRIEVE_PREFIX} {pseudo_query}",
-            target=ranked_list(pseudo_query, doc.doc_id),
-        ))
+        return to_docids(" ".join(words) if words else " ".join(split_words(sentence)), doc)
 
-    for doc in sample_docs():  # (b) summary -> DocIDs
-        if not doc.sentences:
-            logger.warning("skipping %s for summary task: no sentences", doc.doc_id)
-            continue
-        summary = document_summary(doc)
-        examples.append(TrainingExample(
-            task=Task.AUX_SUMMARY2DOCIDS,
-            input=f"{RETRIEVE_PREFIX} {summary}",
-            target=ranked_list(summary, doc.doc_id),
-        ))
-
-    for doc in sample_docs():  # (c) DocID -> summary
-        if not doc.sentences:
-            logger.warning("skipping %s for recite task: no sentences", doc.doc_id)
-            continue
-        examples.append(TrainingExample(
-            task=Task.AUX_DOCID2SUMMARY,
-            input=f"{RECITE_PREFIX} {doc.doc_id}",
-            target=document_summary(doc),
-        ))
-
-    for doc in sample_docs():  # (d) DocID -> related DocIDs
+    def related(doc: Document) -> tuple[str, str] | None:
         candidates = [
             d for d, _ in bm25_retrieve(index, doc.body, DEFAULT_RERANK_CANDIDATES)
             if d != doc.doc_id
         ]
-        related = reranker.rerank(doc.body, candidates)[:k]
-        if not related:
-            logger.warning("skipping %s for related task: no neighbors", doc.doc_id)
-            continue
-        examples.append(TrainingExample(
-            task=Task.AUX_DOCID2RELATED,
-            input=f"{RELATED_PREFIX} {doc.doc_id}",
-            target=docid_list_target(related),
-        ))
+        neighbors = reranker.rerank(doc.body, candidates)[:k]
+        return (f"{RELATED_PREFIX} {doc.doc_id}", docid_list_target(neighbors)) if neighbors else None
 
+    # (task, what its skip warning says, document -> (input, target) or None)
+    tasks = (
+        (Task.AUX_QUERY2DOCIDS, "pseudo-query task: no sentences", pseudo_query),
+        (Task.AUX_SUMMARY2DOCIDS, "summary task: no sentences",
+         lambda doc: to_docids(document_summary(doc), doc) if doc.sentences else None),
+        (Task.AUX_DOCID2SUMMARY, "recite task: no sentences", lambda doc: (
+            f"{RECITE_PREFIX} {doc.doc_id}", document_summary(doc)) if doc.sentences else None),
+        (Task.AUX_DOCID2RELATED, "related task: no neighbors", related),
+    )
+    examples: list[TrainingExample] = []
+    for task, skip, make_pair in tasks:
+        for doc_id in rng.sample(doc_ids, min(per_task_count, len(doc_ids))):
+            doc = corpus.documents[doc_id]
+            pair = make_pair(doc)
+            if pair is None:
+                logger.warning("skipping %s for %s", doc.doc_id, skip)
+            else:
+                examples.append(TrainingExample(task, *pair))
     return examples
 
 

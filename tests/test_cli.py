@@ -235,6 +235,8 @@ class TestEval:
                      "field 'query_id' must be a string or an integer", id="query-id-float"),
         pytest.param('["q1"]', "record must be a JSON object, not list", id="array"),
         pytest.param("not json", "malformed prediction record: Expecting value", id="not-json"),
+        pytest.param('{"query_id": "q1", "docids": ["Mars # overview"]}',
+                     "query_id 'q1' repeats an earlier record", id="repeated-query-id"),
     ])
     def test_malformed_prediction_fails_naming_field_and_line(self, tmp_path, capsys, line, named):
         predictions = tmp_path / "predictions.jsonl"

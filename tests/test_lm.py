@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
@@ -387,7 +388,8 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
     closes the socket after each reply without saying so, as a server does
     when a kept-alive connection idles out; "drop" answers the first request
     and drops every later one without a reply; "slow" answers the first
-    request at once and every later one after a second.
+    request at once and every later one after a second, then closes, since
+    by then the client has given up.
     """
 
     protocol_version = "HTTP/1.1"
@@ -410,19 +412,39 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
         if self.server.mode == "drop" and not first:
             self.close_connection = True
             return
-        if self.server.mode == "slow" and not first:
+        slow = self.server.mode == "slow" and not first
+        if slow:
             time.sleep(1.0)
         data = json.dumps({"logprobs": _context_vector(context)}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-        if self.server.mode == "idle-close":
+        try:
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        except (BrokenPipeError, ConnectionResetError):
+            if not slow:
+                raise
+        if self.server.mode == "idle-close" or slow:
             self.close_connection = True
 
     def log_message(self, *args):
         pass
+
+
+class _KeepAliveServer(ThreadingHTTPServer):
+    """Closing waits for the handler threads; their errors are kept in ``errors``."""
+
+    daemon_threads = False
+
+    def __init__(self, mode):
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        self.mode, self.connections, self.requests, self.bodies = mode, 0, 0, []
+        self.lock = threading.Lock()
+        self.errors = []
+
+    def handle_error(self, request, client_address):
+        self.errors.append(traceback.format_exc())
 
 
 @pytest.fixture
@@ -431,9 +453,7 @@ def keepalive_server():
     started = []
 
     def start(mode="serve"):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
-        server.mode, server.connections, server.requests, server.bodies = mode, 0, 0, []
-        server.lock = threading.Lock()
+        server = _KeepAliveServer(mode)
         thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
         thread.start()
         started.append((server, thread))
@@ -445,6 +465,7 @@ def keepalive_server():
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+        assert server.errors == []
 
 
 class TestKeepAlive:

@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 from collections import Counter
@@ -366,6 +367,27 @@ class TestDocIdUnderstanding:
             if ex.task is Task.AUX_QUERY2DOCIDS and "cat" in ex.input:
                 assert "the" not in ex.input.split()
                 assert "on" not in ex.input.split()
+
+    def test_empty_body_document_is_skipped_by_every_task(self, caplog):
+        corpus = corpus_from_rows([
+            ("1", "alpha", "s", "shared words here."),
+            ("2", "beta", "s", "shared words there."),
+            ("3", "vacant", "void", ""),
+        ])
+        index = build_bm25_index(corpus)
+        with caplog.at_level(logging.WARNING, logger="docidlm.training"):
+            examples = make_docid_understanding_examples(corpus, index, len(corpus), random.Random(5))
+        assert caplog.messages == [
+            "skipping vacant # void for pseudo-query task: no sentences",
+            "skipping vacant # void for summary task: no sentences",
+            "skipping vacant # void for recite task: no sentences",
+            "skipping vacant # void for related task: no neighbors",
+        ]
+        assert Counter(e.task for e in examples) == {
+            Task.AUX_QUERY2DOCIDS: 2, Task.AUX_SUMMARY2DOCIDS: 2,
+            Task.AUX_DOCID2SUMMARY: 2, Task.AUX_DOCID2RELATED: 2,
+        }
+        assert not any("vacant" in e.input or "vacant" in e.target for e in examples)
 
     def test_all_ranked_targets_round_trip(self):
         rng = random.Random(19)

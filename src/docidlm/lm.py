@@ -11,8 +11,10 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import socket
 import threading
-from itertools import chain, repeat
+import time
+from itertools import chain
 from typing import Protocol, Sequence
 from urllib.parse import urlsplit
 
@@ -118,18 +120,18 @@ class NgramLm:
         self.vocab = vocab
         self.order = order
         self.alpha = alpha
-        # Per context length c: the next-token ids and log(count + alpha) of
-        # each, grouped by context; a context tuple maps to (c, start, end,
-        # total count), and its table is ids[c][start:end] with
-        # log_counts[c][start:end].
-        self._ids: list[np.ndarray] = []
-        self._log_counts: list[np.ndarray] = []
-        self._index: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
+        # One table per context length c, over the distinct length-c contexts
+        # ("groups") in ascending key order. A group's key is the group index
+        # of its last c-1 tokens at length c-1, times V, plus its first
+        # token, so a context is found from its last token backwards. Group
+        # g's next-token ids are ids[starts[g]:starts[g + 1]], with
+        # log(count + alpha) in log_counts, and totals[g] counts them all.
+        self._tables: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def fit(self, texts: Sequence[Sequence[int]]) -> "NgramLm":
         """Count every (context, next token) pair; replaces any earlier fit.
 
-        Each context length is counted by sorting the (context, next token)
+        Each context length is counted by sorting the (key, next token)
         columns of every position that has that much history, so no Python
         code runs per n-gram.
         """
@@ -141,56 +143,59 @@ class NgramLm:
                              f"of size {self.vocab.size}")
         # each position's offset within its text: the context length it can have
         offset = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        self._ids, self._log_counts, self._index = [], [], {}
+        # each position's context group at the length counted last
+        group = np.zeros(len(flat), dtype=np.int64)
+        tables = []
         for c in range(self.order):
-            ids, counts = self._count_context_length(flat, np.flatnonzero(offset >= c), c)
-            self._ids.append(ids)
-            self._log_counts.append(np.log(counts + self.alpha))
+            positions = np.flatnonzero(offset >= c)
+            keys = group[positions]
+            if c:
+                keys *= self.vocab.size
+                keys += flat[positions - c]
+            nexts = flat[positions]
+            order = np.lexsort((nexts, keys))
+            keys, nexts, positions = keys[order], nexts[order], positions[order]
+            # a run is one (context, next token) pair; a group is one context
+            new_group = np.ones(len(keys), dtype=bool)
+            new_group[1:] = keys[1:] != keys[:-1]
+            new_run = new_group.copy()
+            new_run[1:] |= nexts[1:] != nexts[:-1]
+            runs = np.flatnonzero(new_run)
+            counts = np.diff(np.append(runs, len(keys)))
+            group_runs = np.flatnonzero(new_group[runs])
+            group[positions] = np.cumsum(new_group) - 1
+            tables.append((keys[runs[group_runs]], np.append(group_runs, len(runs)),
+                           np.add.reduceat(counts, group_runs), nexts[runs],
+                           np.log(counts + self.alpha)))
+        self._tables = tables
         return self
 
-    def _count_context_length(self, flat: np.ndarray, positions: np.ndarray,
-                              c: int) -> tuple[np.ndarray, np.ndarray]:
-        """Tables of every length-``c`` context; fills ``self._index``."""
-        columns = [flat[positions - c + i] for i in range(c)] + [flat[positions]]
-        order = np.lexsort(columns[::-1])
-        columns = [column[order] for column in columns]
-        del order
-        # a run is one (context, next token) pair; a group is one context
-        new_group = np.zeros(len(positions), dtype=bool)
-        new_group[:1] = True
-        for column in columns[:-1]:
-            new_group[1:] |= column[1:] != column[:-1]
-        new_run = new_group.copy()
-        new_run[1:] |= columns[-1][1:] != columns[-1][:-1]
-        runs = np.flatnonzero(new_run)
-        counts = np.diff(np.append(runs, len(positions)))
-        ids = columns[-1][runs]
-        group_runs = np.flatnonzero(new_group[runs])
-        totals = np.add.reduceat(counts, group_runs)
-        ends = np.append(group_runs[1:], len(runs))
-        # zip stops at the shorter side, so the empty context of no text adds nothing
-        keys = zip(*(column[runs[group_runs]].tolist() for column in columns[:-1])) if c else [()]
-        self._index.update(zip(keys, zip(repeat(c), group_runs.tolist(), ends.tolist(),
-                                         totals.tolist())))
-        return ids, counts
-
     def _lookup(self, context: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
-        history = tuple(context[max(0, len(context) - (self.order - 1)) :])
-        for start in range(len(history) + 1):
-            entry = self._index.get(history[start:])
-            if entry is not None:
-                c, lo, hi, total = entry
-                return self._ids[c][lo:hi], self._log_counts[c][lo:hi], total
-        return np.empty(0, dtype=np.int64), np.empty(0), 0
+        """The table of the longest seen suffix of ``context``."""
+        history = context[max(0, len(context) - (self.order - 1)) :]
+        tables = self._tables
+        if not (tables and len(tables[0][2])):  # no fit, or one on no tokens
+            return np.empty(0, dtype=np.int64), np.empty(0), 0
+        table, group = tables[0], 0
+        for c in range(1, len(history) + 1):
+            keys = tables[c][0]
+            key = group * self.vocab.size + history[-c]
+            found = int(keys.searchsorted(key))
+            if found == len(keys) or keys[found] != key:
+                break
+            table, group = tables[c], found
+        _, starts, totals, ids, log_counts = table
+        lo, hi = starts[group], starts[group + 1]
+        return ids[lo:hi], log_counts[lo:hi], int(totals[group])
 
     def next_logprobs(self, context: Sequence[int]) -> np.ndarray:
         _check_context(self.vocab.size, context)
         ids, log_counts, total = self._lookup(context)
         denom = math.log(total + self.alpha * self.vocab.size)
-        vector = np.full(self.vocab.size, math.log(self.alpha) - denom)
-        if len(ids):
-            vector[ids] = log_counts - denom
-        return np.maximum(vector, LOG_FLOOR)
+        # clamping before the fill equals clamping the filled vector
+        vector = np.full(self.vocab.size, max(math.log(self.alpha) - denom, LOG_FLOOR))
+        vector[ids] = np.maximum(log_counts - denom, LOG_FLOOR)
+        return vector
 
 
 def train_ngram(vocab: Vocabulary, texts: Sequence[Sequence[int]],
@@ -211,7 +216,8 @@ class RemoteLm:
 
     Protocol: POST ``{"context": [int, ...]}`` as JSON; the reply must have a
     2xx status and the body ``{"logprobs": [float, ...]}`` with exactly one
-    entry per vocabulary id. The endpoint is checked on construction.
+    entry per vocabulary id, none of them NaN or +inf. The endpoint is
+    checked on construction, and ``timeout`` bounds each call as a whole.
 
     Each scorer owns one connection, which calls from any thread take in
     turn. A server that keeps it alive (HTTP/1.1 without ``Connection:
@@ -228,6 +234,7 @@ class RemoteLm:
                              "http:// or https:// URL with a host")
         self.vocab = vocab
         self._endpoint = endpoint
+        self._timeout = timeout
         # http.client connects on the first request, and again after close()
         self._connection = connection_class(
             parts.hostname, parts.port or connection_class.default_port, timeout=timeout)
@@ -250,23 +257,25 @@ class RemoteLm:
             raise VocabularyMismatchError(
                 f"remote returned {vector.shape} logprobs, local vocabulary has {self.vocab.size}"
             )
-        if np.isnan(vector).any():
-            raise RemoteProtocolError(f"remote response from {endpoint} contains NaN")
+        # NaN compares false too
+        if not (vector < math.inf).all():
+            raise RemoteProtocolError(f"remote response from {endpoint} contains NaN or +inf")
         return np.maximum(vector, LOG_FLOOR)
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
-        """Send ``body``; return the reply's status and body."""
+        """Send ``body``; return the reply's status and body, all within the timeout."""
         with self._lock:
+            deadline = time.monotonic() + self._timeout
             reused = self._connection.sock is not None
             try:
                 try:
-                    response = self._send(body)
+                    response, sock = self._send(body, deadline)
                 except _STALE_SOCKET:
                     if not reused:
                         raise
                     self._connection.close()
-                    response = self._send(body)
-                return response.status, response.read()
+                    response, sock = self._send(body, deadline)
+                return response.status, self._receive(response, sock, deadline)
             except OSError as exc:
                 self._connection.close()
                 raise RemoteTimeoutError(
@@ -276,9 +285,37 @@ class RemoteLm:
                 raise RemoteProtocolError(
                     f"malformed response from {self._endpoint}: {exc}") from exc
 
-    def _send(self, body: bytes) -> http.client.HTTPResponse:
-        self._connection.request("POST", self._target, body, _JSON_HEADERS)
-        return self._connection.getresponse()
+    def _time_left(self, deadline: float) -> float:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError(f"no full reply within the {self._timeout} s timeout")
+        return left
+
+    def _send(self, body: bytes,
+              deadline: float) -> tuple[http.client.HTTPResponse, socket.socket]:
+        """Send ``body`` and read the reply's head; return the reply and its socket."""
+        connection = self._connection
+        connection.timeout = self._time_left(deadline)  # read by a connect
+        if connection.sock is not None:
+            connection.sock.settimeout(connection.timeout)
+        connection.request("POST", self._target, body, _JSON_HEADERS)
+        # taken now: a reply that closes the connection leaves connection.sock None
+        sock = connection.sock
+        sock.settimeout(self._time_left(deadline))
+        return connection.getresponse(), sock
+
+    def _receive(self, response: http.client.HTTPResponse, sock: socket.socket,
+                 deadline: float) -> bytes:
+        """The reply's body, read one receive at a time, each given the time left."""
+        chunks = []
+        while True:
+            sock.settimeout(self._time_left(deadline))
+            chunk = response.read1()
+            if not chunk:
+                break
+            chunks.append(chunk)
+        response.close()  # the body is read: the connection may send again
+        return b"".join(chunks)
 
     def close(self) -> None:
         """Close the connection; a later call connects afresh."""

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -7,12 +8,14 @@ import sys
 import threading
 import time
 import traceback
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from docidlm.corpus import build_corpus, make_document
 from docidlm.lm import (
     LOG_FLOOR,
     Context,
@@ -24,7 +27,7 @@ from docidlm.lm import (
     VocabularyMismatchError,
     train_ngram,
 )
-from docidlm.tokens import build_vocabulary
+from docidlm.tokens import build_vocabulary, encode
 
 
 def small_vocab(n_extra):
@@ -233,6 +236,8 @@ class TestSortingFitMatchesOracle:
 
     def test_fit_on_nothing_is_uniform(self):
         vocab = small_vocab(3)
+        unfitted = NgramLm(vocab, order=3).next_logprobs([7, 8])
+        assert unfitted.tobytes() == oracle_fit(vocab, [], 3)([7, 8]).tobytes()
         for texts in ([], [[]], [[], []]):
             lm = NgramLm(vocab, order=3).fit(texts)
             assert lm.next_logprobs([7, 8]).tobytes() == oracle_fit(vocab, texts, 3)([7, 8]).tobytes()
@@ -256,8 +261,76 @@ class TestSortingFitMatchesOracle:
         assert lm.next_logprobs([7]).tobytes() == before
 
 
+@pytest.fixture(scope="module")
+def bench_texts():
+    """Vocabulary and body token texts of a 600-DocID benchmark corpus."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        corpusgen = importlib.import_module("corpusgen")
+    records, golds = corpusgen.generate(corpusgen.CorpusShape(600, 40, 4, 600, 300), seed=5)
+    corpus = build_corpus([make_document(r["id"], r["title"], r["section"], r["text"])
+                           for r in records])
+    vocab = build_vocabulary(corpus, [gold["input"] for gold in golds])
+    return vocab, [encode(vocab, doc.body) for doc in corpus.documents.values()]
+
+
+class TestArrayTablesAtScale:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_sampled_contexts_bitwise(self, bench_texts, order):
+        vocab, texts = bench_texts
+        lm = train_ngram(vocab, texts, order=order)
+        oracle = oracle_fit(vocab, texts, order)
+        # title words and specials never occur in a body
+        unseen = sorted(set(range(vocab.size)) - {token for text in texts for token in text})
+        rng = random.Random(order)
+        contexts = [[]]
+        for _ in range(300):
+            text = rng.choice(texts)
+            end = rng.randint(0, len(text))
+            # up to three tokens more than the model reads, then each suffix
+            seen = text[max(0, end - order - 2) : end]
+            contexts += [seen[start:] for start in range(len(seen))]
+            holed = list(seen) or [0]
+            holed[rng.randrange(len(holed))] = rng.choice(unseen)
+            contexts.append(holed)
+        assert len(contexts) > 3500 / 4
+        for context in contexts:
+            assert lm.next_logprobs(context).tobytes() == oracle(context).tobytes()
+
+    def test_fit_retains_under_48_bytes_per_distinct_ngram(self):
+        # a seeded Zipf corpus of 200k tokens over 5k words, in 5k texts
+        vocab = small_vocab(5000)
+        rng = np.random.default_rng(17)
+        weights = 1.0 / np.arange(1, vocab.size + 1)
+        flat = rng.choice(vocab.size, size=200_000, p=weights / weights.sum())
+        cuts = np.sort(rng.choice(np.arange(1, len(flat)), size=4999, replace=False))
+        texts = [chunk.tolist() for chunk in np.split(flat, cuts)]
+        order = 3
+        distinct = sum(len({tuple(text[j - c : j + 1]) for text in texts for j in range(c, len(text))})
+                       for c in range(order))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lm = NgramLm(vocab, order=order).fit(texts)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert lm.next_logprobs(texts[0]).shape == (vocab.size,)
+        assert retained / distinct <= 48
+
+
 # ---------------------------------------------------------------------------
 # Remote adapter
+
+
+# replies sent as they are, with status 200; JSON parses 1e999 as inf
+_RAW_REPLIES = {
+    "garbage": b"not json",
+    "overflow": b'{"logprobs": [-1, -1, 1e999, -1, -1, -1, -1]}',
+    "infinity": b'{"logprobs": [Infinity, -1, -1, -1, -1, -1, -1]}',
+    "nan": b'{"logprobs": [-1, -1, -1, -1, -1, -1, NaN]}',
+    "negative-overflow": b'{"logprobs": [-1, -1e999, -1, -1, -1, -1, -1]}',
+}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -283,10 +356,10 @@ class _Handler(BaseHTTPRequestHandler):
             payload = {"logprobs": [math.log(1 / self.vocab_size)] * self.vocab_size}
         elif self.behavior == "short":
             payload = {"logprobs": [0.0] * (self.vocab_size - 1)}
-        elif self.behavior == "garbage":
+        elif self.behavior in _RAW_REPLIES:
             self.send_response(200)
             self.end_headers()
-            self.wfile.write(b"not json")
+            self.wfile.write(_RAW_REPLIES[self.behavior])
             return
         else:
             payload = {"logprobs": [math.log(1 / self.vocab_size)] * self.vocab_size}
@@ -327,6 +400,18 @@ class TestRemote:
         _Handler.behavior = "garbage"
         with pytest.raises(RemoteProtocolError):
             RemoteLm(small_vocab(0), remote_server).next_logprobs([])
+
+    @pytest.mark.parametrize("behavior", ["overflow", "infinity", "nan"])
+    def test_nan_or_positive_infinity_is_rejected(self, remote_server, behavior):
+        _Handler.behavior = behavior
+        with pytest.raises(RemoteProtocolError, match=f"^remote response from {remote_server} "
+                                                      r"contains NaN or \+inf$"):
+            RemoteLm(small_vocab(0), remote_server).next_logprobs([])
+
+    def test_negative_infinity_is_floored(self, remote_server):
+        _Handler.behavior = "negative-overflow"
+        vector = RemoteLm(small_vocab(0), remote_server).next_logprobs([])
+        assert vector.tolist() == [-1.0, LOG_FLOOR, -1.0, -1.0, -1.0, -1.0, -1.0]
 
     def test_timeout(self, remote_server):
         _Handler.behavior = "slow"
@@ -389,7 +474,8 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
     when a kept-alive connection idles out; "drop" answers the first request
     and drops every later one without a reply; "slow" answers the first
     request at once and every later one after a second, then closes, since
-    by then the client has given up.
+    by then the client has given up; "drip" sends the head at once and the
+    body a byte every 50 ms, so each receive is quick but the reply is not.
     """
 
     protocol_version = "HTTP/1.1"
@@ -415,17 +501,23 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
         slow = self.server.mode == "slow" and not first
         if slow:
             time.sleep(1.0)
+        drip = self.server.mode == "drip"
         data = json.dumps({"logprobs": _context_vector(context)}).encode()
         try:
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
-            self.wfile.write(data)
+            if drip:
+                for i in range(len(data)):
+                    time.sleep(0.05)
+                    self.wfile.write(data[i : i + 1])
+            else:
+                self.wfile.write(data)
         except (BrokenPipeError, ConnectionResetError):
-            if not slow:
+            if not (slow or drip):
                 raise
-        if self.server.mode == "idle-close" or slow:
+        if self.server.mode == "idle-close" or slow or drip:
             self.close_connection = True
 
     def log_message(self, *args):
@@ -539,6 +631,17 @@ class TestKeepAlive:
         finally:
             lm.close()
         assert (server.connections, server.requests) == (1, 2)
+
+    def test_dripped_reply_fails_within_the_timeout(self, keepalive_server):
+        server, endpoint = keepalive_server("drip")
+        lm = RemoteLm(small_vocab(0), endpoint, timeout=0.5)
+        start = time.monotonic()
+        try:
+            with pytest.raises(RemoteTimeoutError, match=f"^remote scorer at {endpoint} "):
+                lm.next_logprobs([1])
+        finally:
+            lm.close()
+        assert time.monotonic() - start < 1.0
 
     def test_threads_sharing_one_scorer(self, keepalive_server):
         server, endpoint = keepalive_server()

@@ -8,14 +8,16 @@ minimum so downstream sums never see -inf.
 
 from __future__ import annotations
 
+import functools
 import http.client
+import io
 import json
 import math
 import socket
 import threading
 import time
 from itertools import chain
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -131,41 +133,51 @@ class NgramLm:
     def fit(self, texts: Sequence[Sequence[int]]) -> "NgramLm":
         """Count every (context, next token) pair; replaces any earlier fit.
 
-        Each context length is counted by sorting the (key, next token)
-        columns of every position that has that much history, so no Python
-        code runs per n-gram.
+        Each context length sorts its packed context keys once and its packed
+        (group, next token) pairs once, in place; no Python code runs per n-gram.
         """
+        size = self.vocab.size
         lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-        flat = np.fromiter(chain.from_iterable(texts), dtype=np.int64, count=int(lengths.sum()))
-        bad = np.flatnonzero((flat < 0) | (flat >= self.vocab.size))
+        tokens = np.fromiter(chain.from_iterable(texts), dtype=np.int64, count=int(lengths.sum()))
+        bad = np.flatnonzero((tokens < 0) | (tokens >= size))
         if len(bad):
-            raise ValueError(f"context token id {flat[bad[0]]} outside vocabulary "
-                             f"of size {self.vocab.size}")
-        # each position's offset within its text: the context length it can have
-        offset = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        # each position's context group at the length counted last
-        group = np.zeros(len(flat), dtype=np.int64)
+            raise ValueError(f"context token id {tokens[bad[0]]} outside vocabulary of size {size}")
+        tokens = tokens.astype(np.int32)
+        text_starts = np.cumsum(lengths) - lengths
+        # whether a position has c tokens of history in its text
+        has_history = np.ones(len(tokens), dtype=bool)
+        keys = np.zeros(len(tokens), dtype=np.int64)  # at length 0 every context is empty
         tables = []
         for c in range(self.order):
-            positions = np.flatnonzero(offset >= c)
-            keys = group[positions]
             if c:
-                keys *= self.vocab.size
-                keys += flat[positions - c]
-            nexts = flat[positions]
-            order = np.lexsort((nexts, keys))
-            keys, nexts, positions = keys[order], nexts[order], positions[order]
-            # a run is one (context, next token) pair; a group is one context
+                had_history = has_history.copy()
+                has_history[text_starts[lengths >= c] + (c - 1)] = False
+                keys = group[has_history[had_history]] * size
+                keys += tokens[: len(tokens) - c][has_history[c:]]
+                del group
+            order = keys.argsort()
+            keys = keys[order]
             new_group = np.ones(len(keys), dtype=bool)
             new_group[1:] = keys[1:] != keys[:-1]
-            new_run = new_group.copy()
-            new_run[1:] |= nexts[1:] != nexts[:-1]
-            runs = np.flatnonzero(new_run)
-            counts = np.diff(np.append(runs, len(keys)))
-            group_runs = np.flatnonzero(new_group[runs])
-            group[positions] = np.cumsum(new_group) - 1
-            tables.append((keys[runs[group_runs]], np.append(group_runs, len(runs)),
-                           np.add.reduceat(counts, group_runs), nexts[runs],
+            keys = keys[new_group]
+            # each sorted position's group id, then its (group, next token) pair;
+            # a run of equal pairs is one n-gram
+            pairs = np.cumsum(new_group) - 1
+            if c + 1 < self.order:  # the last length writes no group ids back
+                # the context group of each position with history, in position order
+                group = np.empty_like(pairs)
+                group[order] = pairs
+            pairs *= size
+            pairs += tokens[has_history][order]
+            del order
+            pairs.sort()
+            new_run = np.ones(len(pairs), dtype=bool)
+            new_run[1:] = pairs[1:] != pairs[:-1]
+            pairs = pairs[new_run]
+            counts = np.diff(np.append(np.flatnonzero(new_run), len(new_run)))
+            starts = pairs.searchsorted(np.arange(len(keys) + 1) * size)
+            pairs %= size
+            tables.append((keys, starts, np.add.reduceat(counts, starts[:-1]), pairs,
                            np.log(counts + self.alpha)))
         self._tables = tables
         return self
@@ -204,6 +216,34 @@ def train_ngram(vocab: Vocabulary, texts: Sequence[Sequence[int]],
     return NgramLm(vocab, order=order, alpha=alpha).fit(texts)
 
 
+class _DeadlineReader(io.RawIOBase):
+    """Reads ``raw`` with ``sock``'s timeout set to ``time_left()`` before every receive."""
+
+    def __init__(self, sock: socket.socket, raw: io.RawIOBase, time_left: Callable[[], float]):
+        super().__init__()
+        self._sock, self._raw, self._time_left = sock, raw, time_left
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        self._sock.settimeout(self._time_left())
+        return self._raw.readinto(buffer)
+
+    def close(self) -> None:
+        super().close()
+        self._raw.close()
+
+
+class _DeadlineResponse(http.client.HTTPResponse):
+    """A reply whose status line, headers and body are all read by a ``_DeadlineReader``."""
+
+    def __init__(self, sock: socket.socket, *args, time_left: Callable[[], float], **kwargs):
+        super().__init__(sock, *args, **kwargs)
+        # nothing is read yet, so the buffered reader it made holds no data
+        self.fp = io.BufferedReader(_DeadlineReader(sock, self.fp.detach(), time_left))
+
+
 _CONNECTION_CLASSES = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 _JSON_HEADERS = {"Content-Type": "application/json"}
 # The server closed a kept-alive socket before answering
@@ -238,6 +278,9 @@ class RemoteLm:
         # http.client connects on the first request, and again after close()
         self._connection = connection_class(
             parts.hostname, parts.port or connection_class.default_port, timeout=timeout)
+        self._connection.response_class = functools.partial(
+            _DeadlineResponse, time_left=self._time_left)
+        self._deadline = 0.0  # of the call in progress
         self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         self._lock = threading.Lock()
 
@@ -265,17 +308,18 @@ class RemoteLm:
     def _post(self, body: bytes) -> tuple[int, bytes]:
         """Send ``body``; return the reply's status and body, all within the timeout."""
         with self._lock:
-            deadline = time.monotonic() + self._timeout
+            self._deadline = time.monotonic() + self._timeout
             reused = self._connection.sock is not None
             try:
                 try:
-                    response, sock = self._send(body, deadline)
+                    response = self._send(body)
                 except _STALE_SOCKET:
                     if not reused:
                         raise
                     self._connection.close()
-                    response, sock = self._send(body, deadline)
-                return response.status, self._receive(response, sock, deadline)
+                    response = self._send(body)
+                # reading the whole body closes the reply: the connection may send again
+                return response.status, response.read()
             except OSError as exc:
                 self._connection.close()
                 raise RemoteTimeoutError(
@@ -285,37 +329,20 @@ class RemoteLm:
                 raise RemoteProtocolError(
                     f"malformed response from {self._endpoint}: {exc}") from exc
 
-    def _time_left(self, deadline: float) -> float:
-        left = deadline - time.monotonic()
+    def _time_left(self) -> float:
+        left = self._deadline - time.monotonic()
         if left <= 0:
             raise TimeoutError(f"no full reply within the {self._timeout} s timeout")
         return left
 
-    def _send(self, body: bytes,
-              deadline: float) -> tuple[http.client.HTTPResponse, socket.socket]:
-        """Send ``body`` and read the reply's head; return the reply and its socket."""
+    def _send(self, body: bytes) -> http.client.HTTPResponse:
+        """Send ``body`` and read the reply's head."""
         connection = self._connection
-        connection.timeout = self._time_left(deadline)  # read by a connect
+        connection.timeout = self._time_left()  # read by a connect
         if connection.sock is not None:
             connection.sock.settimeout(connection.timeout)
         connection.request("POST", self._target, body, _JSON_HEADERS)
-        # taken now: a reply that closes the connection leaves connection.sock None
-        sock = connection.sock
-        sock.settimeout(self._time_left(deadline))
-        return connection.getresponse(), sock
-
-    def _receive(self, response: http.client.HTTPResponse, sock: socket.socket,
-                 deadline: float) -> bytes:
-        """The reply's body, read one receive at a time, each given the time left."""
-        chunks = []
-        while True:
-            sock.settimeout(self._time_left(deadline))
-            chunk = response.read1()
-            if not chunk:
-                break
-            chunks.append(chunk)
-        response.close()  # the body is read: the connection may send again
-        return b"".join(chunks)
+        return connection.getresponse()
 
     def close(self) -> None:
         """Close the connection; a later call connects afresh."""

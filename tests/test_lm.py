@@ -243,6 +243,31 @@ class TestSortingFitMatchesOracle:
             assert lm.next_logprobs([7, 8]).tobytes() == oracle_fit(vocab, texts, 3)([7, 8]).tobytes()
             assert np.allclose(lm.next_logprobs([]), math.log(1 / vocab.size))
 
+    def test_wide_keys_bitwise(self):
+        # 150k ids at order 4: most context keys and (group, next token)
+        # pairs pass 2**31, so an int32 step anywhere in the fit would wrap.
+        # Tokens come from a pool of 300, so contexts repeat and backing off
+        # from a lost key changes the vector.
+        vocab = small_vocab(150_000)
+        rng = random.Random(7)
+        pool = rng.sample(range(vocab.size), 300)
+        texts = []
+        while sum(map(len, texts)) < 40_000:
+            # empty texts and texts shorter than the order are mixed in
+            texts += [[], [rng.choice(pool)], rng.choices(pool, k=rng.randint(2, 400))]
+        lm = train_ngram(vocab, texts, order=4)
+        assert np.median(lm._tables[3][0]) > 2**31
+        oracle = oracle_fit(vocab, texts, 4)
+        contexts = [[]]
+        for _ in range(150):
+            text = rng.choice([text for text in texts if text])
+            end = rng.randint(0, len(text))
+            seen = text[max(0, end - 3) : end]
+            contexts += [seen[start:] for start in range(len(seen))]
+            contexts.append([rng.randrange(vocab.size) for _ in range(rng.randint(1, 3))])
+        for context in contexts:
+            assert lm.next_logprobs(context).tobytes() == oracle(context).tobytes()
+
     def test_refit_replaces_the_model(self):
         vocab = small_vocab(4)
         a, b, c, d = 7, 8, 9, 10
@@ -251,7 +276,8 @@ class TestSortingFitMatchesOracle:
         for context in ([a], [c], [d], []):
             assert refit.next_logprobs(context).tobytes() == fresh.next_logprobs(context).tobytes()
 
-    @pytest.mark.parametrize("bad", [-1, 12, 99])
+    # 2**32 + 8 and -(2**32) + 9 wrap to the valid ids 8 and 9 in int32
+    @pytest.mark.parametrize("bad", [-1, 12, 99, 2**32 + 8, -(2**32) + 9])
     def test_fit_rejects_out_of_range_token(self, bad):
         vocab = small_vocab(5)  # size 12
         lm = NgramLm(vocab, order=2).fit([[7, 8]])
@@ -272,6 +298,17 @@ def bench_texts():
                            for r in records])
     vocab = build_vocabulary(corpus, [gold["input"] for gold in golds])
     return vocab, [encode(vocab, doc.body) for doc in corpus.documents.values()]
+
+
+@pytest.fixture(scope="module")
+def zipf_texts():
+    """A seeded Zipf corpus of 200k tokens over 5k words, in 5k texts."""
+    vocab = small_vocab(5000)
+    rng = np.random.default_rng(17)
+    weights = 1.0 / np.arange(1, vocab.size + 1)
+    flat = rng.choice(vocab.size, size=200_000, p=weights / weights.sum())
+    cuts = np.sort(rng.choice(np.arange(1, len(flat)), size=4999, replace=False))
+    return vocab, [chunk.tolist() for chunk in np.split(flat, cuts)]
 
 
 class TestArrayTablesAtScale:
@@ -297,14 +334,8 @@ class TestArrayTablesAtScale:
         for context in contexts:
             assert lm.next_logprobs(context).tobytes() == oracle(context).tobytes()
 
-    def test_fit_retains_under_48_bytes_per_distinct_ngram(self):
-        # a seeded Zipf corpus of 200k tokens over 5k words, in 5k texts
-        vocab = small_vocab(5000)
-        rng = np.random.default_rng(17)
-        weights = 1.0 / np.arange(1, vocab.size + 1)
-        flat = rng.choice(vocab.size, size=200_000, p=weights / weights.sum())
-        cuts = np.sort(rng.choice(np.arange(1, len(flat)), size=4999, replace=False))
-        texts = [chunk.tolist() for chunk in np.split(flat, cuts)]
+    def test_fit_retains_under_48_bytes_per_distinct_ngram(self, zipf_texts):
+        vocab, texts = zipf_texts
         order = 3
         distinct = sum(len({tuple(text[j - c : j + 1]) for text in texts for j in range(c, len(text))})
                        for c in range(order))
@@ -317,6 +348,19 @@ class TestArrayTablesAtScale:
             tracemalloc.stop()
         assert lm.next_logprobs(texts[0]).shape == (vocab.size,)
         assert retained / distinct <= 48
+
+    def test_fit_transient_under_48_bytes_per_token(self, zipf_texts):
+        # what the fit allocates beyond the tables it keeps, at its peak
+        vocab, texts = zipf_texts
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            lm = NgramLm(vocab, order=3).fit(texts)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lm.next_logprobs(texts[0]).shape == (vocab.size,)
+        assert (peak - retained) / sum(map(len, texts)) <= 48
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +519,8 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
     and drops every later one without a reply; "slow" answers the first
     request at once and every later one after a second, then closes, since
     by then the client has given up; "drip" sends the head at once and the
-    body a byte every 50 ms, so each receive is quick but the reply is not.
+    body a byte every 50 ms, so each receive is quick but the reply is not;
+    "drip-head" sends the head that way too.
     """
 
     protocol_version = "HTTP/1.1"
@@ -501,24 +546,31 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
         slow = self.server.mode == "slow" and not first
         if slow:
             time.sleep(1.0)
-        drip = self.server.mode == "drip"
+        drip = self.server.mode in ("drip", "drip-head")
         data = json.dumps({"logprobs": _context_vector(context)}).encode()
         try:
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            if drip:
-                for i in range(len(data)):
-                    time.sleep(0.05)
-                    self.wfile.write(data[i : i + 1])
+            if self.server.mode == "drip-head":
+                self._drip(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                           b"Content-Length: %d\r\n\r\n" % len(data) + data)
             else:
-                self.wfile.write(data)
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                if drip:
+                    self._drip(data)
+                else:
+                    self.wfile.write(data)
         except (BrokenPipeError, ConnectionResetError):
             if not (slow or drip):
                 raise
         if self.server.mode == "idle-close" or slow or drip:
             self.close_connection = True
+
+    def _drip(self, data):
+        for i in range(len(data)):
+            time.sleep(0.05)
+            self.wfile.write(data[i : i + 1])
 
     def log_message(self, *args):
         pass
@@ -558,6 +610,18 @@ def keepalive_server():
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert server.errors == []
+
+
+def _assert_fails_within_half_a_second(endpoint):
+    """A call with a 0.5 s timeout fails with a timeout well before 1 s."""
+    lm = RemoteLm(small_vocab(0), endpoint, timeout=0.5)
+    start = time.monotonic()
+    try:
+        with pytest.raises(RemoteTimeoutError, match=f"^remote scorer at {endpoint} "):
+            lm.next_logprobs([1])
+    finally:
+        lm.close()
+    assert time.monotonic() - start < 1.0
 
 
 class TestKeepAlive:
@@ -633,15 +697,10 @@ class TestKeepAlive:
         assert (server.connections, server.requests) == (1, 2)
 
     def test_dripped_reply_fails_within_the_timeout(self, keepalive_server):
-        server, endpoint = keepalive_server("drip")
-        lm = RemoteLm(small_vocab(0), endpoint, timeout=0.5)
-        start = time.monotonic()
-        try:
-            with pytest.raises(RemoteTimeoutError, match=f"^remote scorer at {endpoint} "):
-                lm.next_logprobs([1])
-        finally:
-            lm.close()
-        assert time.monotonic() - start < 1.0
+        _assert_fails_within_half_a_second(keepalive_server("drip")[1])
+
+    def test_dripped_head_fails_within_the_timeout(self, keepalive_server):
+        _assert_fails_within_half_a_second(keepalive_server("drip-head")[1])
 
     def test_threads_sharing_one_scorer(self, keepalive_server):
         server, endpoint = keepalive_server()

@@ -6,7 +6,8 @@ in-vocabulary text.
 """
 from pathlib import Path
 
-from docidlm import build_vocabulary, canonical_docid, decode, encode, ingest_corpus, split_sentences
+from docidlm import (DOCID_CLOSE, DOCID_OPEN, build_vocabulary, canonical_docid, decode, encode,
+                     ingest_corpus, layout_tokens, split_sentences)
 
 DATA = Path(__file__).parent / "data"
 
@@ -35,6 +36,6 @@ ids = encode(vocab, text)
 print(f"\nencode({text!r}) -> {ids}")
 print(f"decode(...)  -> {decode(vocab, ids)!r}")
 
-ids = encode(vocab, "<docid> Mars # overview </docid>")
+ids = layout_tokens(vocab, (DOCID_OPEN, "Mars # overview", DOCID_CLOSE))
 print(f"\nDocID spans use reserved symbols: {ids}")
 print(f"  -> {decode(vocab, ids)!r}")

@@ -7,7 +7,7 @@ emits a valid, duplicate-free DocID ranking for each query.
 """
 from pathlib import Path
 
-from docidlm import build_trie, generate_docid_list, ingest_corpus, load_gold, r_precision
+from docidlm import build_trie, generate_docid_list, ingest_corpus, layout_text, load_gold, r_precision
 from docidlm.cli import RunConfig, build_training_examples, engine_vocabulary
 from docidlm.training import build_bm25_index, build_reference_lm, bm25_retrieve
 
@@ -26,7 +26,7 @@ examples = build_training_examples(corpus, gold, index, config)
 retrieval_targets = [e for e in examples if e.task.value == "retrieval"]
 print(f"\n{len(examples)} training examples; a ranked-list target looks like:")
 print(f"  input:  {retrieval_targets[0].input!r}")
-print(f"  target: {retrieval_targets[0].target!r}")
+print(f"  target: {layout_text(retrieval_targets[0].target)!r}")
 
 vocab = engine_vocabulary(corpus, gold)
 trie = build_trie(corpus, vocab)

@@ -43,6 +43,8 @@ from .decoder import (
     generate_docid_list,
     generate_rag,
     generate_rag_pipeline,
+    layout_text,
+    layout_tokens,
     parse_rag_trace,
     render_document_tokens,
     score_sequence,
@@ -100,7 +102,6 @@ from .training import (
     make_docid_understanding_examples,
     make_rag_examples,
     make_retrieval_example,
-    parse_docid_list_target,
     sequence_loss,
 )
 from .trie import (

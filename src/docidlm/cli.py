@@ -22,8 +22,7 @@ from time import perf_counter
 from typing import Callable
 
 from . import decoder, metrics, training
-from .corpus import (Corpus, GoldRecord, ingest_corpus, json_records, load_gold,
-                     load_predictions)
+from .corpus import Corpus, GoldRecord, ingest_corpus, load_gold, load_predictions
 from .lm import DEFAULT_ALPHA, DEFAULT_ORDER, LmScorer, RemoteLm
 from .tokens import Vocabulary, build_vocabulary, save_vocabulary
 from .trie import DocIdTrie, build_trie, dump_trie
@@ -71,11 +70,6 @@ def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def read_jsonl_records(path) -> list[dict]:
-    """Read line records, skipping embedded configuration lines."""
-    return list(json_records(path, "artifact", lambda raw: None if "_config" in raw else raw))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("CORPUSLM_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    setting = os.environ.get("CORPUSLM_LOG", "WARNING")
+    level = logging.getLevelName(setting.upper())
+    if not isinstance(level, int):
+        print(f"docidlm: error: CORPUSLM_LOG={setting!r} is not a log level name", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = vars(parser.parse_args(argv))
     name = args.pop("command")

@@ -26,7 +26,8 @@ import numpy as np
 from .constraints import SILENT_STOP, GrammarError, GrammarState, Phase, Plan, allowed_mask, step
 from .corpus import Corpus, Document
 from .lm import Context, LmScorer
-from .tokens import ANSWER_OPEN, DOCID_CLOSE, DOCID_OPEN, EOS, Vocabulary, decode, encode
+from .tokens import (ANSWER_OPEN, DOCID_CLOSE, DOCID_OPEN, EOS, SPECIAL_SURFACES, Vocabulary, decode,
+                     encode)
 from .trie import DocIdTrie, ExclusionSet
 
 RETRIEVE_PREFIX = "retrieve:"
@@ -41,6 +42,9 @@ DEFAULT_K_CONTEXT = 3
 DEFAULT_DOC_BUDGET = 256
 MAX_REF_TOKENS = 64
 MAX_ANSWER_TOKENS = 64
+
+Layout = str | tuple[str | int, ...]
+"""A sequence as text pieces (``str``) and structural ids (``int``); a ``str`` is one piece."""
 
 
 class DecodeError(RuntimeError):
@@ -171,6 +175,30 @@ def generate_closed_book(lm: LmScorer, query: str, max_tokens: int) -> str:
 def render_document_text(doc: Document) -> str:
     """A document as the model reads it: the header ``title # section``, then the body."""
     return f"{doc.title} # {doc.section} {doc.body}"
+
+
+def layout_tokens(vocab: Vocabulary, layout: Layout) -> list[int]:
+    """The ids of a layout: each text piece encoded as text, each structural id as itself.
+
+    This is where a structural id enters a sequence built from data; text
+    never becomes one.
+    """
+    if isinstance(layout, str):
+        return encode(vocab, layout)
+    ids: list[int] = []
+    for piece in layout:
+        if isinstance(piece, str):
+            ids.extend(encode(vocab, piece))
+        else:
+            ids.append(piece)
+    return ids
+
+
+def layout_text(layout: Layout) -> str:
+    """A layout as one string: its pieces joined by single spaces, each id as its surface."""
+    if isinstance(layout, str):
+        return layout
+    return " ".join(piece if isinstance(piece, str) else SPECIAL_SURFACES[piece] for piece in layout)
 
 
 def render_document_tokens(vocab: Vocabulary, doc: Document, budget: int) -> list[int]:

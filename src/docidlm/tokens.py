@@ -3,7 +3,9 @@
 The vocabulary holds seven reserved structural symbols at fixed ids 0-6,
 followed by all corpus word tokens in sorted order. Text is lowercased and
 split into alphanumeric runs plus single punctuation characters, so every
-token path is short and hand-checkable.
+token path is short and hand-checkable. Encoding is text only: a structural
+symbol never comes out of text, and only ``decoder.layout_tokens`` puts one
+into a sequence built from data.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ SPECIAL_SURFACES = (
 SPECIAL_IDS = tuple(range(len(SPECIAL_SURFACES)))
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
-# A special surface that is a whole whitespace-delimited chunk of the text.
-_SPECIAL_CHUNK_RE = re.compile(r"(?<!\S)(" + "|".join(map(re.escape, SPECIAL_SURFACES)) + r")(?!\S)")
-_SPECIAL_ID = {surface: i for i, surface in enumerate(SPECIAL_SURFACES)}
 
 
 class InvalidTokenError(ValueError):
@@ -92,27 +91,13 @@ def build_vocabulary(corpus, extra_texts: list[str] | None = None) -> Vocabulary
             seen.update(split_words(doc.body))
     for text in extra_texts or []:
         seen.update(split_words(text))
-    seen.difference_update(SPECIAL_SURFACES)
     return _from_token_list(list(SPECIAL_SURFACES) + sorted(seen))
 
 
 def encode(vocab: Vocabulary, text: str) -> list[int]:
-    """Tokenize text to ids; special surface forms map to their reserved ids.
-
-    A special surface counts only as a whole whitespace-delimited chunk;
-    glued to anything else it is split like any other text. No match of the
-    word pattern spans whitespace, and lowercasing looks no further than the
-    surrounding whitespace, so each stretch between specials is split in one
-    pass, with the same result as splitting it chunk by chunk.
-    """
-    ids: list[int] = []
+    """Tokenize text to ids; a special surface such as ``</s>`` is split as text."""
     lookup = vocab.token_to_id.get
-    for i, part in enumerate(_SPECIAL_CHUNK_RE.split(text)):
-        if i % 2:
-            ids.append(_SPECIAL_ID[part])
-        else:
-            ids.extend([lookup(word, UNK) for word in _WORD_RE.findall(part.lower())])
-    return ids
+    return [lookup(word, UNK) for word in split_words(text)]
 
 
 def decode(vocab: Vocabulary, token_ids: list[int]) -> str:

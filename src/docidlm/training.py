@@ -22,9 +22,11 @@ import numpy as np
 
 from .corpus import Corpus, Document, UnknownDocIdError
 from .decoder import (ANSWER_PREFIX, DEFAULT_K_RETRIEVE, RAG_PREFIX, RECITE_PREFIX, RELATED_PREFIX,
-                      RETRIEVE_PREFIX, render_document_text, score_sequence)
+                      RETRIEVE_PREFIX, Layout, layout_text, layout_tokens, render_document_text,
+                      score_sequence)
 from .lm import DEFAULT_ALPHA, DEFAULT_ORDER, LmScorer, NgramLm, train_ngram
-from .tokens import ANSWER_OPEN, EOS, REF_CLOSE, REF_OPEN, Vocabulary, encode, split_words
+from .tokens import (ANSWER_OPEN, DOCID_CLOSE, DOCID_OPEN, EOS, REF_CLOSE, REF_OPEN, Vocabulary,
+                     encode, split_words)
 
 logger = logging.getLogger(__name__)
 
@@ -48,11 +50,14 @@ class Task(Enum):
 
 @dataclass(frozen=True)
 class TrainingExample:
-    """Tagged (task, input, target) pair, the currency of training and loss."""
+    """Tagged (task, input, target) pair, the currency of training and loss.
+
+    Input and target are layouts (see :func:`docidlm.decoder.layout_tokens`).
+    """
 
     task: Task
-    input: str
-    target: str
+    input: Layout
+    target: Layout
     noise_flag: bool = False
 
 
@@ -218,29 +223,9 @@ def construct_ranked_docid_list(
 # Example construction
 
 
-def docid_list_target(docids: Sequence[str]) -> str:
-    """Render an ordered DocID list as one natural-language target string."""
-    return " ".join(f"<docid> {doc_id} </docid>" for doc_id in docids)
-
-
-def parse_docid_list_target(target: str) -> list[str]:
-    """Inverse of :func:`docid_list_target`; raises on malformed strings."""
-    chunks = target.split()
-    docids: list[str] = []
-    i = 0
-    while i < len(chunks):
-        if chunks[i] != "<docid>":
-            raise ValueError(f"expected '<docid>' at chunk {i}, got {chunks[i]!r}")
-        j = i + 1
-        while j < len(chunks) and chunks[j] != "</docid>":
-            j += 1
-        if j == len(chunks):
-            raise ValueError("unterminated DocID span")
-        if j == i + 1:
-            raise ValueError("empty DocID span")
-        docids.append(" ".join(chunks[i + 1 : j]))
-        i = j + 1
-    return docids
+def docid_list_target(docids: Sequence[str]) -> Layout:
+    """An ordered DocID list as one target layout, each DocID in its span symbols."""
+    return tuple(piece for doc_id in docids for piece in (DOCID_OPEN, doc_id, DOCID_CLOSE))
 
 
 def make_retrieval_example(query: str, docid_list: Sequence[str]) -> TrainingExample:
@@ -275,7 +260,7 @@ def make_rag_examples(
     sentence_pool = [s for doc in context_docs for s in doc.sentences]
     if tau > 0 and not sentence_pool:
         raise ValueError("noise sampling needs at least one extractable sentence")
-    rendered = f"{RAG_PREFIX} {query} " + " ".join(render_document_text(d) for d in context_docs)
+    rendered = (f"{RAG_PREFIX} {query}", *map(render_document_text, context_docs))
 
     noised = tau > 0 and rng.random() < tau
     reference_used = rng.choice(sentence_pool) if noised else gold_reference
@@ -283,7 +268,7 @@ def make_rag_examples(
         TrainingExample(task=Task.RAG_REFERENCE, input=rendered, target=gold_reference),
         TrainingExample(
             task=Task.RAG_ANSWER,
-            input=f"{rendered} <ref> {reference_used} </ref>",
+            input=(*rendered, REF_OPEN, reference_used, REF_CLOSE),
             target=gold_answer,
             noise_flag=noised,
         ),
@@ -331,18 +316,18 @@ def make_docid_understanding_examples(
     doc_ids = sorted(corpus.documents)
     stop = stopwords()
 
-    def to_docids(query: str, doc: Document) -> tuple[str, str]:
+    def to_docids(query: str, doc: Document) -> tuple[str, Layout]:
         ranked = construct_ranked_docid_list(query, [doc.doc_id], index, reranker, k)
         return f"{RETRIEVE_PREFIX} {query}", docid_list_target(ranked)
 
-    def pseudo_query(doc: Document) -> tuple[str, str] | None:
+    def pseudo_query(doc: Document) -> tuple[str, Layout] | None:
         if not doc.sentences:
             return None
         sentence = rng.choice(doc.sentences)
         words = [w for w in split_words(sentence) if w not in stop]
         return to_docids(" ".join(words) if words else " ".join(split_words(sentence)), doc)
 
-    def related(doc: Document) -> tuple[str, str] | None:
+    def related(doc: Document) -> tuple[str, Layout] | None:
         candidates = [
             d for d, _ in bm25_retrieve(index, doc.body, DEFAULT_RERANK_CANDIDATES)
             if d != doc.doc_id
@@ -377,11 +362,10 @@ def make_docid_understanding_examples(
 
 def sequence_loss(lm: LmScorer, example: TrainingExample) -> float:
     """Teacher-forced negative log-likelihood of target followed by EOS."""
-    if not example.target.strip():
+    target = layout_tokens(lm.vocab, example.target)
+    if not target:
         raise ValueError("example target is empty")
-    context = encode(lm.vocab, example.input)
-    target = encode(lm.vocab, example.target) + [EOS]
-    return -score_sequence(lm, context, target)
+    return -score_sequence(lm, layout_tokens(lm.vocab, example.input), target + [EOS])
 
 
 def combined_loss(
@@ -429,8 +413,8 @@ def render_example_tokens(vocab: Vocabulary, example: TrainingExample) -> list[i
     reference examples are wrapped in the reference span symbols; DocID-list
     targets already carry their own markers.
     """
-    context = encode(vocab, example.input)
-    target = encode(vocab, example.target)
+    context = layout_tokens(vocab, example.input)
+    target = layout_tokens(vocab, example.target)
     if example.task in (Task.CLOSED_BOOK, Task.RAG_ANSWER):
         return context + [ANSWER_OPEN] + target + [EOS]
     if example.task is Task.RAG_REFERENCE:
@@ -452,18 +436,10 @@ def build_reference_lm(
 
 
 def example_record(example: TrainingExample) -> dict:
+    """The ``traindata`` record of an example, its layouts written as text."""
     return {
         "task": example.task.value,
-        "input": example.input,
-        "target": example.target,
+        "input": layout_text(example.input),
+        "target": layout_text(example.target),
         "noise_flag": example.noise_flag,
     }
-
-
-def parse_example_record(record: dict) -> TrainingExample:
-    return TrainingExample(
-        task=Task(record["task"]),
-        input=record["input"],
-        target=record["target"],
-        noise_flag=bool(record.get("noise_flag", False)),
-    )

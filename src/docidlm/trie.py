@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .corpus import Corpus, UnknownDocIdError
-from .tokens import SPECIAL_IDS, UNK, Vocabulary, encode
+from .tokens import UNK, Vocabulary, encode
 
 
 class TrieError(ValueError):
@@ -159,9 +159,8 @@ def build_trie(corpus: Corpus, vocab: Vocabulary) -> DocIdTrie:
         tokens = tuple(encode(vocab, doc_id))
         if not tokens:
             raise TrieError(f"DocID {doc_id!r} tokenizes to an empty sequence")
-        bad = [t for t in tokens if t == UNK or t in SPECIAL_IDS]
-        if bad:
-            raise TrieError(f"DocID {doc_id!r} tokenizes to reserved ids {bad}")
+        if UNK in tokens:
+            raise TrieError(f"DocID {doc_id!r} has a token outside the vocabulary")
         trie._insert(tokens, doc_id)
     stack = [trie.root]
     while stack:

@@ -11,11 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from docidlm.cli import (COMMANDS, RunConfig, build_parser, engine_vocabulary, main,
-                         read_jsonl_records)
-from docidlm.corpus import ingest_corpus, load_gold
+from docidlm.cli import COMMANDS, RunConfig, build_parser, engine_vocabulary, main
+from docidlm.corpus import ingest_corpus, json_records, load_gold
 from docidlm.tokens import load_vocabulary
-from docidlm.training import parse_example_record
+from docidlm.training import Task, TrainingExample
 from docidlm.trie import TrieError, build_trie, load_trie
 
 from conftest import corpus_from_rows
@@ -61,6 +60,17 @@ def workdir(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def read_jsonl_records(path) -> list[dict]:
+    """The line records of an artifact, without its embedded configuration line."""
+    return list(json_records(path, "artifact", lambda raw: None if "_config" in raw else raw))
+
+
+def parse_example_record(record: dict) -> TrainingExample:
+    """A ``traindata`` record read back; its input and target stay plain text."""
+    return TrainingExample(Task(record["task"]), record["input"], record["target"],
+                           bool(record.get("noise_flag", False)))
 
 
 class TestIngest:
@@ -255,6 +265,16 @@ def test_log_env_variable_accepted(workdir, monkeypatch):
     monkeypatch.setenv("CORPUSLM_LOG", "DEBUG")
     out = workdir / "ingested.jsonl"
     assert run(["ingest", "--corpus", workdir / "corpus.jsonl", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("setting", ["basic_format", "root", "debg"])
+def test_log_env_variable_must_name_a_level(workdir, monkeypatch, capsys, setting):
+    # a logging attribute that is no level, a logger name, a typo
+    monkeypatch.setenv("CORPUSLM_LOG", setting)
+    out = workdir / "ingested.jsonl"
+    assert run(["ingest", "--corpus", workdir / "corpus.jsonl", "--out", out]) == 2
+    assert f"CORPUSLM_LOG='{setting}' is not a log level name" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_debug_log_times_every_build_stage(workdir, monkeypatch, caplog):

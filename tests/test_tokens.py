@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from docidlm.decoder import layout_text, layout_tokens
 from docidlm.tokens import (
     ANSWER_OPEN,
     DOCID_CLOSE,
@@ -53,10 +54,11 @@ def test_punctuation_splitting_rule():
     assert extra == {"don", "t", "stop", "'", "."}
 
 
-def test_encode_recognizes_specials():
-    vocab = build_vocabulary(None, ["a"])
-    a = vocab.token_to_id["a"]
-    assert encode(vocab, "<docid> a </docid>") == [DOCID_OPEN, a, DOCID_CLOSE]
+def test_encode_splits_special_surfaces_as_text():
+    vocab = build_vocabulary(None, ["<docid> a </docid>"])
+    lt, docid, gt, a, slash = (vocab.token_to_id[t] for t in ["<", "docid", ">", "a", "/"])
+    assert encode(vocab, "<docid> a </docid>") == [lt, docid, gt, a, lt, slash, docid, gt]
+    assert layout_tokens(vocab, (DOCID_OPEN, "a", DOCID_CLOSE)) == [DOCID_OPEN, a, DOCID_CLOSE]
 
 
 def test_encode_empty_and_unknown():
@@ -75,10 +77,14 @@ def test_decode_inverse_and_errors():
 
 
 def test_round_trip_known_text():
-    texts = ["don ' t stop .", "a b # c", "<ref> x </ref>", "<answer> yes"]
+    texts = ["don ' t stop .", "a b # c", "x", "yes"]
     vocab = build_vocabulary(None, texts)
     for text in texts:
         assert decode(vocab, encode(vocab, text)) == text
+    # structural symbols come from a layout, and decode to their surfaces
+    for layout in [(REF_OPEN, "x", REF_CLOSE), (ANSWER_OPEN, "yes")]:
+        assert decode(vocab, layout_tokens(vocab, layout)) == layout_text(layout)
+    assert layout_text((REF_OPEN, "x", REF_CLOSE)) == "<ref> x </ref>"
 
 
 def test_round_trip_random_in_vocab_strings():
@@ -109,12 +115,9 @@ def test_build_is_deterministic():
 
 
 def oracle_encode(vocab, text):
-    """The chunk-by-chunk encode the one-pass split replaced."""
+    """Encode chunk by chunk: no word and no lowercasing reaches across whitespace."""
     ids = []
     for chunk in text.split():
-        if chunk in SPECIAL_SURFACES:
-            ids.append(SPECIAL_SURFACES.index(chunk))
-            continue
         ids.extend(vocab.id_of(tok) for tok in split_words(chunk))
     return ids
 
@@ -139,13 +142,17 @@ def test_encode_matches_chunkwise_oracle_on_random_texts():
         for piece in pieces:
             text += piece + rng.choice(_SPACES + [""] * 4)
         assert encode(vocab, text) == oracle_encode(vocab, text), repr(text)
+        # text pieces encode alone as they do in the one string they are written as
+        layout = tuple(text.split(rng.choice(["<", "Σ", "\n"])))
+        assert layout_tokens(vocab, layout) == encode(vocab, layout_text(layout)), repr(layout)
+        assert min(encode(vocab, text), default=UNK) >= UNK
 
 
-def test_encode_specials_only_as_whole_chunks():
-    vocab = build_vocabulary(None, ["docid"])
-    docid = vocab.token_to_id["docid"]
-    lt, gt = vocab.token_to_id.get("<", UNK), vocab.token_to_id.get(">", UNK)
-    assert encode(vocab, "\t<docid>\u3000</s>\n") == [DOCID_OPEN, EOS]
+def test_encode_special_surfaces_are_text_in_any_spacing():
+    vocab = build_vocabulary(None, ["<docid> </s>"])
+    lt, docid, gt, slash, s = (vocab.token_to_id[t] for t in ["<", "docid", ">", "/", "s"])
+    assert encode(vocab, "\t<docid>\u3000</s>\n") == [lt, docid, gt, lt, slash, s, gt]
     assert encode(vocab, "<DOCID>") == [lt, docid, gt]
     assert encode(vocab, "<docid><docid>") == [lt, docid, gt, lt, docid, gt]
     assert encode(vocab, "ΑΣ </s> Σ") == oracle_encode(vocab, "ΑΣ </s> Σ")
+    assert layout_tokens(vocab, ("ΑΣ", EOS, "Σ")) == [UNK, EOS, UNK]

@@ -5,10 +5,13 @@ from collections import Counter
 
 import pytest
 
+from docidlm.cli import Engine, RunConfig
 from docidlm.corpus import UnknownDocIdError
+from docidlm.decoder import layout_text, render_document_text
 from docidlm.lm import UniformLm, train_ngram
 from docidlm.tokens import (
-    ANSWER_OPEN, EOS, REF_CLOSE, REF_OPEN, build_vocabulary, encode, split_words,
+    ANSWER_OPEN, DOCID_CLOSE, DOCID_OPEN, EOS, REF_CLOSE, REF_OPEN, build_vocabulary, encode,
+    split_words,
 )
 from docidlm.training import (
     LexicalOverlapReranker,
@@ -24,15 +27,22 @@ from docidlm.training import (
     make_docid_understanding_examples,
     make_rag_examples,
     make_retrieval_example,
-    parse_docid_list_target,
-    parse_example_record,
     render_example_tokens,
     sequence_loss,
     stopwords,
 )
 
 from conftest import _WORD_POOL, _SECTION_POOL, _TITLE_POOL, corpus_from_rows, random_corpus
+from test_cli import DEMO_DATA, GOLDEN, read_jsonl_records
 from test_decoder import tiny_vocab_of_size
+
+
+def docids_of(target):
+    """The DocIDs of a DocID-list layout, once its span symbols are checked."""
+    spans = len(target) // 3
+    assert target[0::3] == (DOCID_OPEN,) * spans and target[2::3] == (DOCID_CLOSE,) * spans
+    assert len(target) == 3 * spans
+    return list(target[1::3])
 
 
 def equal_length_corpus():
@@ -226,13 +236,15 @@ class TestMergeRule:
 class TestRetrievalExample:
     def test_single_docid_target(self):
         ex = make_retrieval_example("who", ["a # x"])
-        assert ex.target == "<docid> a # x </docid>"
+        assert ex.target == (DOCID_OPEN, "a # x", DOCID_CLOSE)
+        assert layout_text(ex.target) == "<docid> a # x </docid>"
         assert ex.input == "retrieve: who"
         assert ex.task is Task.RETRIEVAL
 
     def test_two_docids_in_order(self):
         ex = make_retrieval_example("who", ["a # x", "b # y"])
-        assert ex.target == "<docid> a # x </docid> <docid> b # y </docid>"
+        assert ex.target == (DOCID_OPEN, "a # x", DOCID_CLOSE, DOCID_OPEN, "b # y", DOCID_CLOSE)
+        assert layout_text(ex.target) == "<docid> a # x </docid> <docid> b # y </docid>"
 
     def test_target_round_trips_through_parser(self):
         rng = random.Random(97)
@@ -240,12 +252,7 @@ class TestRetrievalExample:
         ids = sorted(corpus.documents)
         for _ in range(50):
             chosen = rng.sample(ids, rng.randint(1, 5))
-            assert parse_docid_list_target(docid_list_target(chosen)) == chosen
-
-    def test_parser_rejects_malformed(self):
-        for bad in ["<docid> a", "a </docid>", "<docid> </docid>", "x <docid> a </docid>"]:
-            with pytest.raises(ValueError):
-                parse_docid_list_target(bad)
+            assert docids_of(docid_list_target(chosen)) == chosen
 
 
 class TestRagExamples:
@@ -262,7 +269,8 @@ class TestRagExamples:
             ref, ans = make_rag_examples("q", self.docs(), "gold ref", "gold ans",
                                          tau=0.0, rng=rng)
             assert not ans.noise_flag and not ref.noise_flag
-            assert "<ref> gold ref </ref>" in ans.input
+            assert ans.input[-3:] == (REF_OPEN, "gold ref", REF_CLOSE)
+            assert ans.input[:-3] == ref.input == ("rag: q", *map(render_document_text, self.docs()))
 
     def test_tau_one_always_noised_from_sentences(self):
         rng = random.Random(1)
@@ -271,8 +279,8 @@ class TestRagExamples:
             ref, ans = make_rag_examples("q", self.docs(), "gold ref", "gold ans",
                                          tau=1.0, rng=rng)
             assert ans.noise_flag
-            used = ans.input.split("<ref>")[1].split("</ref>")[0].strip()
-            assert used in sentences
+            assert (ans.input[-3], ans.input[-1]) == (REF_OPEN, REF_CLOSE)
+            assert ans.input[-2] in sentences
         assert ref.target == "gold ref"
 
     def test_reference_example_always_clean(self):
@@ -322,7 +330,7 @@ class TestDocIdUnderstanding:
                 continue
             marker = next(w for w in ex.input.split() if w.startswith("marker"))
             source = f"title{marker[len('marker'):]} # s"
-            assert parse_docid_list_target(ex.target)[0] == source
+            assert docids_of(ex.target)[0] == source
             checked += 1
         assert checked == 6
 
@@ -337,11 +345,11 @@ class TestDocIdUnderstanding:
         for ex in examples:
             by_task.setdefault(ex.task, []).append(ex)
         for ex in by_task[Task.AUX_QUERY2DOCIDS]:
-            first = parse_docid_list_target(ex.target)[0]
+            first = docids_of(ex.target)[0]
             # the sampled sentence names its own title, so the source leads
             assert first in ("alpha # s", "beta # s")
         for ex in by_task[Task.AUX_SUMMARY2DOCIDS]:
-            docids = parse_docid_list_target(ex.target)
+            docids = docids_of(ex.target)
             assert len(docids) == len(set(docids))
 
     def test_related_on_two_doc_corpus_is_the_other(self):
@@ -351,7 +359,7 @@ class TestDocIdUnderstanding:
         ])
         index = build_bm25_index(corpus)
         examples = make_docid_understanding_examples(corpus, index, 2, random.Random(13))
-        related = {e.input: parse_docid_list_target(e.target)
+        related = {e.input: docids_of(e.target)
                    for e in examples if e.task is Task.AUX_DOCID2RELATED}
         assert related["related: alpha # s"] == ["beta # s"]
         assert related["related: beta # s"] == ["alpha # s"]
@@ -387,7 +395,7 @@ class TestDocIdUnderstanding:
             Task.AUX_QUERY2DOCIDS: 2, Task.AUX_SUMMARY2DOCIDS: 2,
             Task.AUX_DOCID2SUMMARY: 2, Task.AUX_DOCID2RELATED: 2,
         }
-        assert not any("vacant" in e.input or "vacant" in e.target for e in examples)
+        assert not any("vacant" in layout_text(e.input) + layout_text(e.target) for e in examples)
 
     def test_all_ranked_targets_round_trip(self):
         rng = random.Random(19)
@@ -396,7 +404,7 @@ class TestDocIdUnderstanding:
         for ex in make_docid_understanding_examples(corpus, index, 6, rng):
             if ex.task in (Task.AUX_QUERY2DOCIDS, Task.AUX_SUMMARY2DOCIDS,
                            Task.AUX_DOCID2RELATED):
-                docids = parse_docid_list_target(ex.target)
+                docids = docids_of(ex.target)
                 assert len(docids) == len(set(docids))
                 assert all(d in corpus for d in docids)
 
@@ -445,11 +453,12 @@ class TestLosses:
 
     def _batch(self):
         return [
-            TrainingExample(Task.RETRIEVAL, "retrieve: q", "<docid> t1 </docid>"),
+            TrainingExample(Task.RETRIEVAL, "retrieve: q", (DOCID_OPEN, "t1", DOCID_CLOSE)),
             TrainingExample(Task.CLOSED_BOOK, "answer: q", "t2"),
             TrainingExample(Task.RAG_REFERENCE, "rag: q", "t3"),
-            TrainingExample(Task.RAG_ANSWER, "rag: q <ref> t3 </ref>", "t2"),
-            TrainingExample(Task.RAG_ANSWER, "rag: q <ref> t4 </ref>", "t2", noise_flag=True),
+            TrainingExample(Task.RAG_ANSWER, ("rag: q", REF_OPEN, "t3", REF_CLOSE), "t2"),
+            TrainingExample(Task.RAG_ANSWER, ("rag: q", REF_OPEN, "t4", REF_CLOSE), "t2",
+                            noise_flag=True),
             TrainingExample(Task.AUX_DOCID2SUMMARY, "recite: t1", "t3 t4"),
         ]
 
@@ -502,9 +511,23 @@ class TestRendering:
         vocab = build_vocabulary(None, ["retrieve: q", "a # x"])
         ex = make_retrieval_example("q", ["a # x"])
         tokens = render_example_tokens(vocab, ex)
-        assert tokens == encode(vocab, ex.input) + encode(vocab, ex.target) + [EOS]
+        a, sharp, x = encode(vocab, "a # x")
+        assert tokens == encode(vocab, ex.input) + [DOCID_OPEN, a, sharp, x, DOCID_CLOSE, EOS]
+
+    def test_answer_render_inserts_the_reference_span(self):
+        vocab = build_vocabulary(None, ["rag: q", "r", "yes"])
+        ex = TrainingExample(Task.RAG_ANSWER, ("rag: q", REF_OPEN, "r", REF_CLOSE), "yes")
+        rag, colon, q, r, yes = encode(vocab, "rag: q r yes")
+        assert render_example_tokens(vocab, ex) == [rag, colon, q, REF_OPEN, r, REF_CLOSE,
+                                                    ANSWER_OPEN, yes, EOS]
 
 
 def test_example_record_round_trip():
+    # the traindata strings are the layouts written as text
+    examples = Engine(RunConfig(corpus=str(DEMO_DATA / "corpus.jsonl"),
+                                gold=str(DEMO_DATA / "gold.jsonl"))).examples
+    assert [example_record(ex) for ex in examples] == read_jsonl_records(GOLDEN / "traindata.jsonl")
+    assert any(isinstance(ex.target, tuple) for ex in examples)
     ex = TrainingExample(Task.RAG_ANSWER, "in", "out", noise_flag=True)
-    assert parse_example_record(example_record(ex)) == ex
+    assert example_record(ex) == {"task": "rag_answer", "input": "in", "target": "out",
+                                  "noise_flag": True}

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
+
+import numpy as np
 
 from .tokens import split_words
 
@@ -72,6 +76,41 @@ class CorpusStats:
     token_count: int
 
 
+class CorpusWords:
+    """Every document's words, split once, as ids of the sorted distinct words ``terms``.
+
+    The ``i``-th document, ``i = position[doc_id]``, holds ``ids[starts[i]:starts[i + 1]]``:
+    its title's, its section's and, from ``body_starts[i]``, its body's words.
+    """
+
+    def __init__(self, documents: dict[str, Document]):
+        first_seen = defaultdict()  # each new word gets the next id
+        first_seen.default_factory = first_seen.__len__
+        ids, starts, body_starts = array("i"), [0], []
+        for doc in documents.values():
+            ids.extend(map(first_seen.__getitem__, split_words(doc.title)))
+            ids.extend(map(first_seen.__getitem__, split_words(doc.section)))
+            body_starts.append(len(ids))
+            ids.extend(map(first_seen.__getitem__, split_words(doc.body)))
+            starts.append(len(ids))
+        self.terms = tuple(sorted(first_seen))
+        self.term_id = {term: i for i, term in enumerate(self.terms)}
+        rank = np.array([self.term_id[word] for word in first_seen], dtype=np.int32)
+        self.ids = rank[np.frombuffer(ids, dtype=np.intc)]
+        self.starts, self.body_starts = np.array(starts), np.array(body_starts, dtype=np.int64)
+        self.position = {doc_id: i for i, doc_id in enumerate(documents)}
+
+    def document(self, doc_id: str, body_only: bool = False) -> np.ndarray:
+        i = self.position[doc_id]
+        return self.ids[(self.body_starts if body_only else self.starts)[i] : self.starts[i + 1]]
+
+    def query_terms(self, query: str | Sequence[int]) -> list[int]:
+        """A query's term ids in order, without words no document holds; ``query`` may be ids."""
+        if isinstance(query, str):
+            query = [term for term in map(self.term_id.get, split_words(query)) if term is not None]
+        return list(query)
+
+
 @dataclass
 class Corpus:
     """Immutable DocID -> Document map built by :func:`ingest_corpus`."""
@@ -79,8 +118,12 @@ class Corpus:
     documents: dict[str, Document] = field(default_factory=dict)
 
     @cached_property
+    def words(self) -> CorpusWords:  # the one word split that every corpus-wide build reads
+        return CorpusWords(self.documents)
+
+    @cached_property
     def stats(self) -> CorpusStats:
-        token_count = sum(len(split_words(doc.body)) for doc in self.documents.values())
+        token_count = int((self.words.starts[1:] - self.words.body_starts).sum())
         return CorpusStats(len(self.documents), token_count)
 
     def get(self, doc_id: str) -> Document:

@@ -16,7 +16,6 @@ import math
 import socket
 import threading
 import time
-from itertools import chain
 from typing import Callable, Protocol, Sequence
 from urllib.parse import urlsplit
 
@@ -138,7 +137,8 @@ class NgramLm:
         """
         size = self.vocab.size
         lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-        tokens = np.fromiter(chain.from_iterable(texts), dtype=np.int64, count=int(lengths.sum()))
+        tokens = np.concatenate([np.empty(0, dtype=np.int64)]
+                                + [np.asarray(text, dtype=np.int64) for text in texts])
         bad = np.flatnonzero((tokens < 0) | (tokens >= size))
         if len(bad):
             raise ValueError(f"context token id {tokens[bad[0]]} outside vocabulary of size {size}")

@@ -85,10 +85,7 @@ def build_vocabulary(corpus, extra_texts: list[str] | None = None) -> Vocabulary
     seen: set[str] = set()
     if corpus is not None and corpus.documents:
         seen.add("#")  # separator of every canonical DocID; keeps trie paths UNK-free
-        for doc in corpus.documents.values():
-            seen.update(split_words(doc.title))
-            seen.update(split_words(doc.section))
-            seen.update(split_words(doc.body))
+        seen.update(corpus.words.terms)
     for text in extra_texts or []:
         seen.update(split_words(text))
     return _from_token_list(list(SPECIAL_SURFACES) + sorted(seen))

@@ -12,7 +12,6 @@ import importlib.resources
 import logging
 import math
 import random
-from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
@@ -26,7 +25,7 @@ from .decoder import (ANSWER_PREFIX, DEFAULT_K_RETRIEVE, RAG_PREFIX, RECITE_PREF
                       score_sequence)
 from .lm import DEFAULT_ALPHA, DEFAULT_ORDER, LmScorer, NgramLm, train_ngram
 from .tokens import (ANSWER_OPEN, DOCID_CLOSE, DOCID_OPEN, EOS, REF_CLOSE, REF_OPEN, Vocabulary,
-                     encode, split_words)
+                     split_words)
 
 logger = logging.getLogger(__name__)
 
@@ -86,17 +85,13 @@ def stopwords() -> frozenset[str]:
 # BM25 index and retrieval
 
 
-def _doc_terms(doc: Document) -> list[str]:
-    return split_words(doc.title) + split_words(doc.section) + split_words(doc.body)
-
-
 class Bm25Index:
     """Inverted index over title+section+body with classic BM25 scoring.
 
     Documents are numbered by their position in ``doc_ids``, the sorted
-    DocIDs. A term's postings are two aligned int64 arrays, the ascending
-    document numbers holding it and its frequency in each; ``norm`` holds
-    each document's length normalization ``k1 * (1 - b + b * dl / avgdl)``.
+    DocIDs. Term id ``t``'s postings are ``docs[starts[t]:starts[t + 1]]``, the
+    ascending numbers of the documents holding it, and its frequency in each in
+    ``tfs``; ``norm`` holds each document's ``k1 * (1 - b + b * dl / avgdl)``.
     """
 
     def __init__(self, corpus: Corpus, k1: float = DEFAULT_BM25_K1, b: float = DEFAULT_BM25_B):
@@ -108,20 +103,24 @@ class Bm25Index:
         self.k1 = k1
         self.b = b
         self.doc_ids = sorted(corpus.documents)
-        lengths = np.zeros(len(self.doc_ids), dtype=np.int64)
-        postings: dict[str, tuple[list[int], list[int]]] = {}
-        for i, doc_id in enumerate(self.doc_ids):
-            terms = _doc_terms(corpus.documents[doc_id])
-            lengths[i] = len(terms)
-            for term, tf in Counter(terms).items():
-                docs, tfs = postings.setdefault(term, ([], []))
-                docs.append(i)
-                tfs.append(tf)
-        self.postings = {
-            term: (np.array(docs, dtype=np.int64), np.array(tfs, dtype=np.int64))
-            for term, (docs, tfs) in postings.items()
-        }
-        n = len(self.doc_ids)
+        words, n = corpus.words, len(self.doc_ids)
+        by_number = [words.position[doc_id] for doc_id in self.doc_ids]
+        number = np.argsort(by_number).astype(np.int32)  # of each document in corpus order
+        # one term * n + document number key per word; a run of equal keys is one posting
+        keys = np.multiply(words.ids, n, dtype=np.int64)
+        keys += np.repeat(number, np.diff(words.starts))
+        keys.sort()
+        run_ends = np.ones(len(keys) + 1, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=run_ends[1:-1])
+        keys = keys[run_ends[:-1]]
+        bounds = np.flatnonzero(run_ends)
+        # a difference below 2**31 survives int32 wrap-around of the bounds
+        self.tfs = np.subtract(bounds[1:], bounds[:-1], dtype=np.int32)
+        del bounds
+        self.starts = keys.searchsorted(np.arange(len(words.terms) + 1) * np.int64(n))
+        keys %= n
+        self.docs = keys.astype(np.int32)
+        lengths = np.diff(words.starts)[by_number]
         self.avgdl = (int(lengths.sum()) / n) if n else 0.0
         self.norm = k1 * (1 - b + b * lengths / self.avgdl) if self.avgdl else np.zeros(n)
 
@@ -129,9 +128,14 @@ class Bm25Index:
     def document_count(self) -> int:
         return len(self.doc_ids)
 
+    def postings(self, term: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending numbers of the documents holding term id ``term``, and its counts."""
+        lo, hi = self.starts[term], self.starts[term + 1]
+        return self.docs[lo:hi], self.tfs[lo:hi]
+
     def idf(self, term: str) -> float:
-        n_t = len(self.postings[term][0]) if term in self.postings else 0
-        n = self.document_count
+        row, n = self.corpus.words.term_id.get(term), self.document_count
+        n_t = 0 if row is None else len(self.postings(row)[0])
         return math.log((n - n_t + 0.5) / (n_t + 0.5) + 1.0)
 
 
@@ -141,20 +145,20 @@ def build_bm25_index(corpus: Corpus, k1: float = DEFAULT_BM25_K1, b: float = DEF
     return Bm25Index(corpus, k1=k1, b=b)
 
 
-def bm25_retrieve(index: Bm25Index, query: str, k: int) -> list[tuple[str, float]]:
+def bm25_retrieve(index: Bm25Index, query: str | Sequence[int], k: int) -> list[tuple[str, float]]:
     """Top-k documents by BM25; duplicate query terms accumulate per instance.
 
-    Ties break by DocID lexicographic order.
+    ``query`` is text, or the corpus term ids of its words. Ties break by
+    DocID lexicographic order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = np.zeros(index.document_count)
     touched = np.zeros(index.document_count, dtype=bool)
-    for term in split_words(query):
-        if term not in index.postings:
-            continue
-        docs, tfs = index.postings[term]
-        scores[docs] += index.idf(term) * tfs * (index.k1 + 1) / (tfs + index.norm[docs])
+    for term in index.corpus.words.query_terms(query):
+        docs, tfs = index.postings(term)
+        idf = index.idf(index.corpus.words.terms[term])
+        scores[docs] += idf * tfs * (index.k1 + 1) / (tfs + index.norm[docs])
         touched[docs] = True
     candidates = np.flatnonzero(touched)
     ranked = candidates[np.lexsort((candidates, -scores[candidates]))[:k]]
@@ -162,9 +166,9 @@ def bm25_retrieve(index: Bm25Index, query: str, k: int) -> list[tuple[str, float
 
 
 class Reranker(Protocol):
-    """Reorders candidate DocIDs for a query; slot for a stronger model."""
+    """Reorders candidate DocIDs for a query, text or corpus term ids; slot for a stronger model."""
 
-    def rerank(self, query: str, candidates: Sequence[str]) -> list[str]: ...
+    def rerank(self, query: str | Sequence[int], candidates: Sequence[str]) -> list[str]: ...
 
 
 class LexicalOverlapReranker:
@@ -175,18 +179,11 @@ class LexicalOverlapReranker:
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
-        self._term_sets: dict[str, frozenset[str]] = {}
 
-    def _terms(self, doc_id: str) -> frozenset[str]:
-        cached = self._term_sets.get(doc_id)
-        if cached is None:
-            cached = frozenset(_doc_terms(self.corpus.get(doc_id)))
-            self._term_sets[doc_id] = cached
-        return cached
-
-    def rerank(self, query: str, candidates: Sequence[str]) -> list[str]:
-        query_terms = set(split_words(query))
-        return sorted(candidates, key=lambda d: -len(query_terms & self._terms(d)))
+    def rerank(self, query: str | Sequence[int], candidates: Sequence[str]) -> list[str]:
+        query_terms = set(self.corpus.words.query_terms(query))
+        terms = self.corpus.words.document
+        return sorted(candidates, key=lambda d: -len(query_terms.intersection(terms(d).tolist())))
 
 
 def construct_ranked_docid_list(
@@ -328,11 +325,11 @@ def make_docid_understanding_examples(
         return to_docids(" ".join(words) if words else " ".join(split_words(sentence)), doc)
 
     def related(doc: Document) -> tuple[str, Layout] | None:
+        body = corpus.words.document(doc.doc_id, body_only=True).tolist()
         candidates = [
-            d for d, _ in bm25_retrieve(index, doc.body, DEFAULT_RERANK_CANDIDATES)
-            if d != doc.doc_id
+            d for d, _ in bm25_retrieve(index, body, DEFAULT_RERANK_CANDIDATES) if d != doc.doc_id
         ]
-        neighbors = reranker.rerank(doc.body, candidates)[:k]
+        neighbors = reranker.rerank(body, candidates)[:k]
         return (f"{RELATED_PREFIX} {doc.doc_id}", docid_list_target(neighbors)) if neighbors else None
 
     # (task, what its skip warning says, document -> (input, target) or None)
@@ -430,7 +427,9 @@ def build_reference_lm(
     alpha: float = DEFAULT_ALPHA,
 ) -> NgramLm:
     """Fit the reference n-gram scorer on corpus bodies plus rendered examples."""
-    texts = [encode(vocab, doc.body) for doc in corpus.documents.values()]
+    words = corpus.words
+    ids = np.array([vocab.id_of(term) for term in words.terms], dtype=np.int32)[words.ids]
+    texts: list[Sequence[int]] = [ids[lo:hi] for lo, hi in zip(words.body_starts, words.starts[1:])]
     texts.extend(render_example_tokens(vocab, ex) for ex in examples)
     return train_ngram(vocab, texts, order=order, alpha=alpha)
 

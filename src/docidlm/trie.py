@@ -195,16 +195,17 @@ def allowed_continuations(
     return Continuations(ids=ids, close_permitted=close_ok)
 
 
-def _snapshot_lines(node: TrieNode, depth: int = 0) -> Iterator[str]:
-    """The canonical preorder snapshot below ``node``, one newline-ended line per node.
+def _snapshot_lines(root: TrieNode) -> Iterator[str]:
+    """The canonical preorder snapshot below ``root``, one newline-ended line per node.
 
     A line is ``depth<TAB>token id<TAB>terminal flag``; children follow in
-    ascending token order and the root is implicit.
+    ascending token order and the root is implicit. No recursion: any DocID length fits.
     """
-    for token in node.child_ids.tolist():
-        child = node.children[token]
-        yield f"{depth}\t{token}\t{int(child.is_terminal)}\n"
-        yield from _snapshot_lines(child, depth + 1)
+    stack = [(0, token, root.children[token]) for token in reversed(root.child_ids.tolist())]
+    while stack:
+        depth, token, node = stack.pop()
+        yield f"{depth}\t{token}\t{int(node.is_terminal)}\n"
+        stack.extend((depth + 1, t, node.children[t]) for t in reversed(node.child_ids.tolist()))
 
 
 def dump_trie(trie: DocIdTrie, path) -> None:

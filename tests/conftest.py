@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from docidlm.corpus import build_corpus, make_document
+from docidlm.corpus import build_corpus, canonical_docid, make_document
 from docidlm.tokens import build_vocabulary
 from docidlm.training import build_reference_lm, make_retrieval_example
 from docidlm.trie import build_trie
@@ -59,6 +59,36 @@ def random_corpus(rng: random.Random, n_docs: int):
         ]
         rows.append((str(i), title, section, " ".join(body_sentences)))
         i += 1
+    return corpus_from_rows(rows)
+
+
+# Pieces whose split depends on their neighbours: a capital sigma lowercases to
+# the final form only at a word end, apostrophes, digits and underscores split
+# or join runs, and NBSP is whitespace.
+_TRICKY_POOL = [
+    "ΟΔΟΣ", "Σ", "ΣΑ", "αΣ", "όΣ.", "ΑΣ'", "it's", "'quoted'", "x1_y2", "__init__", "3.14",
+    "a\u00a0b", "\u00a0", "naïve", "ǅemal", "Ⅻ²", "—", "alpha", "beta", "",
+]
+
+
+def random_text(rng: random.Random, max_words: int = 6) -> str:
+    """Pool pieces joined by a space, NBSP, newline or nothing."""
+    text = ""
+    for _ in range(rng.randint(0, max_words)):
+        text += rng.choice(_TRICKY_POOL) + rng.choice([" ", " ", "\u00a0", "\n", ""])
+    return text
+
+
+def random_text_corpus(rng: random.Random, n_docs: int):
+    """A corpus of tricky titles, sections (often empty) and bodies."""
+    rows, seen = [], set()
+    while len(rows) < n_docs:
+        title = random_text(rng, 3) + rng.choice(["", "Σ", str(len(rows))])
+        section = rng.choice(["", random_text(rng, 2)])
+        if not title.split() or canonical_docid(title, section) in seen:
+            continue
+        seen.add(canonical_docid(title, section))
+        rows.append((str(len(rows)), title, section, random_text(rng, 12)))
     return corpus_from_rows(rows)
 
 

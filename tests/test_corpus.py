@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from docidlm.corpus import (
@@ -13,7 +14,9 @@ from docidlm.corpus import (
     split_sentences,
 )
 
-from conftest import corpus_from_rows
+from docidlm.tokens import split_words
+
+from conftest import corpus_from_rows, random_text_corpus
 
 
 class TestCanonicalDocid:
@@ -224,6 +227,29 @@ def test_corpus_token_count_counts_body_words():
     corpus = corpus_from_rows([("1", "t", "s", "one two three.")])
     # three words plus the trailing period token
     assert corpus.stats.token_count == 4
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_word_array_matches_per_piece_split(seed):
+    # the oracle splits each piece on its own, so a piece's last capital
+    # sigma is final whatever the next piece starts with
+    corpus = random_text_corpus(random.Random(seed), 30)
+    words = corpus.words
+    assert words.ids.dtype == np.int32
+    assert list(words.terms) == sorted({w for doc in corpus.documents.values()
+                                        for piece in (doc.title, doc.section, doc.body)
+                                        for w in split_words(piece)})
+    assert [words.terms[i] for i in words.ids] == [
+        w for doc in corpus.documents.values()
+        for w in split_words(doc.title) + split_words(doc.section) + split_words(doc.body)]
+    for doc_id, doc in corpus.documents.items():
+        assert [words.terms[i] for i in words.document(doc_id)] == (
+            split_words(doc.title) + split_words(doc.section) + split_words(doc.body))
+        assert [words.terms[i] for i in words.document(doc_id, body_only=True)] == split_words(doc.body)
+        query = doc.body + " unseenword"
+        assert [words.terms[i] for i in words.query_terms(query)] == split_words(doc.body)
+    assert corpus.stats.token_count == sum(len(split_words(doc.body))
+                                           for doc in corpus.documents.values())
 
 
 def test_in_memory_threshold_enforced(tmp_path):

@@ -21,7 +21,7 @@ from docidlm.tokens import (
     split_words,
 )
 
-from conftest import corpus_from_rows
+from conftest import corpus_from_rows, random_text, random_text_corpus
 
 
 def test_special_ids_fixed_order():
@@ -38,6 +38,28 @@ def test_build_vocabulary_sorted_union():
     assert extra == sorted(extra)
     # first non-special id is 7
     assert vocab.token_to_id[extra[0]] == 7
+
+
+def oracle_build_vocabulary(corpus, extra_texts):
+    """The per-piece set-union build that the corpus word split replaced."""
+    seen = set()
+    if corpus.documents:
+        seen.add("#")
+        for doc in corpus.documents.values():
+            seen.update(split_words(doc.title))
+            seen.update(split_words(doc.section))
+            seen.update(split_words(doc.body))
+    for text in extra_texts:
+        seen.update(split_words(text))
+    return tuple(SPECIAL_SURFACES) + tuple(sorted(seen))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_build_vocabulary_matches_set_union_oracle(seed):
+    rng = random.Random(seed)
+    corpus = random_text_corpus(rng, rng.randint(0, 25))
+    extra = [random_text(rng) for _ in range(rng.randint(0, 4))]
+    assert build_vocabulary(corpus, extra).tokens == oracle_build_vocabulary(corpus, extra)
 
 
 def test_build_vocabulary_empty_is_specials_only():

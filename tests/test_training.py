@@ -1,7 +1,11 @@
+import importlib
 import logging
 import math
 import random
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from docidlm.training import (
     TrainingExample,
     bm25_retrieve,
     build_bm25_index,
+    build_reference_lm,
     combined_loss,
     construct_ranked_docid_list,
     docid_list_target,
@@ -32,7 +37,8 @@ from docidlm.training import (
     stopwords,
 )
 
-from conftest import _WORD_POOL, _SECTION_POOL, _TITLE_POOL, corpus_from_rows, random_corpus
+from conftest import (_WORD_POOL, _SECTION_POOL, _TITLE_POOL, corpus_from_rows, random_corpus,
+                      random_text, random_text_corpus)
 from test_cli import DEMO_DATA, GOLDEN, read_jsonl_records
 from test_decoder import tiny_vocab_of_size
 
@@ -66,7 +72,7 @@ class TestBm25:
 
     def test_absent_term_empty_postings(self):
         index = build_bm25_index(equal_length_corpus())
-        assert "missing" not in index.postings
+        assert "missing" not in index.corpus.words.term_id
         assert bm25_retrieve(index, "missing", 5) == []
 
     def test_postings_exactly_matching_docs(self):
@@ -76,7 +82,7 @@ class TestBm25:
             ("3", "c", "z", "shared two"),
         ])
         index = build_bm25_index(corpus)
-        docs, tfs = index.postings["shared"]
+        docs, tfs = index.postings(corpus.words.term_id["shared"])
         assert [index.doc_ids[i] for i in docs] == ["a # x", "c # z"]
         assert tfs.tolist() == [1, 1]
 
@@ -104,8 +110,8 @@ class TestBm25:
         assert ranked[0][1] == ranked[1][1]
 
 
-def oracle_bm25_retrieve(corpus, query, k, k1=1.2, b=0.75):
-    """The per-posting dict scorer the postings-array scorer replaced."""
+def oracle_postings(corpus):
+    """Each term's (DocID, frequency) list in DocID order, and each document's length."""
     postings, doc_lengths = {}, {}
     for doc_id in sorted(corpus.documents):
         doc = corpus.documents[doc_id]
@@ -113,6 +119,12 @@ def oracle_bm25_retrieve(corpus, query, k, k1=1.2, b=0.75):
         doc_lengths[doc_id] = len(terms)
         for term, tf in sorted(Counter(terms).items()):
             postings.setdefault(term, []).append((doc_id, tf))
+    return postings, doc_lengths
+
+
+def oracle_bm25_retrieve(corpus, query, k, k1=1.2, b=0.75):
+    """The per-posting dict scorer the postings-array scorer replaced."""
+    postings, doc_lengths = oracle_postings(corpus)
     n = len(doc_lengths)
     avgdl = sum(doc_lengths.values()) / n
     scores = {}
@@ -171,6 +183,62 @@ class TestBm25MatchesOracle:
             for i in range(2000)
         ])
         assert assert_retrieval_matches_oracle(corpus, rng, 40) > 0
+
+
+class TestBm25RowsMatchOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_oracle_postings(self, seed):
+        rng = random.Random(seed)
+        corpus = random_text_corpus(rng, rng.randint(1, 40))
+        index = build_bm25_index(corpus)
+        postings, _ = oracle_postings(corpus)
+        terms = corpus.words.terms
+        assert sorted(postings) == list(terms)
+        for term_id, term in enumerate(terms):
+            docs, tfs = index.postings(term_id)
+            assert [(index.doc_ids[d], tf) for d, tf in zip(docs.tolist(), tfs.tolist())] == postings[term]
+        for _ in range(10):
+            query = random_text(rng) + " " + rng.choice(terms)
+            k = rng.randint(1, len(corpus) + 2)
+            assert bm25_retrieve(index, query, k) == oracle_bm25_retrieve(corpus, query, k)
+
+    def test_body_term_ids_retrieve_as_the_body_text(self):
+        rng = random.Random(5)
+        corpus = random_text_corpus(rng, 30)
+        index = build_bm25_index(corpus)
+        for doc_id, doc in corpus.documents.items():
+            body = corpus.words.document(doc_id, body_only=True).tolist()
+            assert bm25_retrieve(index, body, 10) == oracle_bm25_retrieve(corpus, doc.body, 10)
+
+
+class OracleReranker:
+    """The string-set reranker that the term-id reranker replaced."""
+
+    def __init__(self, corpus):
+        self.corpus = corpus
+
+    def rerank(self, query, candidates):
+        query_terms = set(split_words(query))
+
+        def terms(doc_id):
+            doc = self.corpus.get(doc_id)
+            return set(split_words(doc.title) + split_words(doc.section) + split_words(doc.body))
+
+        return sorted(candidates, key=lambda d: -len(query_terms & terms(d)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reranker_order_matches_string_set_oracle(seed):
+    rng = random.Random(seed)
+    corpus = random_text_corpus(rng, rng.randint(2, 30))
+    reranker, oracle = LexicalOverlapReranker(corpus), OracleReranker(corpus)
+    doc_ids = sorted(corpus.documents)
+    for doc_id in doc_ids:
+        candidates = rng.sample(doc_ids, rng.randint(1, len(doc_ids)))
+        query = random_text(rng)
+        assert reranker.rerank(query, candidates) == oracle.rerank(query, candidates)
+        body = corpus.words.document(doc_id, body_only=True).tolist()
+        assert reranker.rerank(body, candidates) == oracle.rerank(corpus.get(doc_id).body, candidates)
 
 
 class StubReranker:
@@ -520,6 +588,77 @@ class TestRendering:
         rag, colon, q, r, yes = encode(vocab, "rag: q r yes")
         assert render_example_tokens(vocab, ex) == [rag, colon, q, REF_OPEN, r, REF_CLOSE,
                                                     ANSWER_OPEN, yes, EOS]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reference_lm_tables_equal_a_fit_on_encoded_bodies(seed):
+    rng = random.Random(seed)
+    corpus = random_text_corpus(rng, 40)
+    doc_ids = sorted(corpus.documents)
+    examples = [make_retrieval_example(random_text(rng), rng.sample(doc_ids, 3)) for _ in range(5)]
+    full = build_vocabulary(corpus, ["retrieve:"])
+    # a vocabulary over half the documents maps the other half's new words to UNK
+    half = build_vocabulary(corpus_from_rows([
+        (str(i), doc.title, doc.section, doc.body)
+        for i, doc in enumerate(list(corpus.documents.values())[::2])]), ["retrieve:"])
+    assert len(half) < len(full)
+    for vocab in (full, half):
+        lm = build_reference_lm(corpus, vocab, examples, order=3)
+        texts = [encode(vocab, doc.body) for doc in corpus.documents.values()]
+        texts += [render_example_tokens(vocab, ex) for ex in examples]
+        oracle = train_ngram(vocab, texts, order=3)
+        assert len(lm._tables) == len(oracle._tables) == 3
+        for table, expected in zip(lm._tables, oracle._tables):
+            assert len(table) == len(expected) == 5
+            for array, want in zip(table, expected):
+                assert array.dtype == want.dtype and array.tobytes() == want.tobytes()
+
+
+def test_one_split_per_document_piece_per_build(monkeypatch):
+    # every corpus-wide stage reads the corpus word array; no stage splits a
+    # document's title, section or body string again. Pieces are told by
+    # identity: the summary task's query joins the first two sentences into a
+    # new string, which is query text, and here equals the two-sentence body.
+    engine = Engine(RunConfig(corpus=str(DEMO_DATA / "corpus.jsonl"),
+                              gold=str(DEMO_DATA / "gold.jsonl")))
+    pieces = [piece for doc in engine.corpus.documents.values()
+              for piece in (doc.title, doc.section, doc.body)]
+    calls = Counter()
+
+    def counting_split(text):
+        calls.update(i for i, piece in enumerate(pieces) if text is piece)
+        return split_words(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "docidlm" and hasattr(module, "split_words"):
+            monkeypatch.setattr(module, "split_words", counting_split)
+    engine.vocab, engine.bm25, engine.examples, engine.lm
+    assert calls == Counter(range(len(pieces)))
+
+
+def test_bm25_memory_per_posting():
+    # retained: an int32 document number and frequency per posting, plus
+    # per-term offsets and per-document norms; transient: above the word
+    # array, the int64 sort keys and what the runs need, about 10 bytes per
+    # word (the per-posting Python lists of the dict build took 17-21)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        corpusgen = importlib.import_module("corpusgen")
+    records, _ = corpusgen.generate(corpusgen.CorpusShape(2000, 40, 4, 2000, 2000), seed=5)
+    corpus = corpus_from_rows([(r["id"], r["title"], r["section"], r["text"]) for r in records])
+    words = len(corpus.words.ids)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        index = build_bm25_index(corpus)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    postings = len(index.docs)
+    assert postings > 50_000
+    assert (retained - before) / postings <= 12
+    assert (peak - retained) / words <= 14
 
 
 def test_example_record_round_trip():

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from types import SimpleNamespace
@@ -5,8 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from docidlm.corpus import UnknownDocIdError
-from docidlm.tokens import build_vocabulary, encode
+from docidlm.cli import main
+from docidlm.corpus import UnknownDocIdError, ingest_corpus
+from docidlm.tokens import build_vocabulary, encode, load_vocabulary
 from docidlm.trie import (
     DocIdTrie,
     ExclusionSet,
@@ -20,6 +22,14 @@ from docidlm.trie import (
 )
 
 from conftest import corpus_from_rows, random_corpus
+
+
+def recursive_snapshot_lines(node, depth=0):
+    """The recursive preorder walk that the snapshot's explicit stack replaced."""
+    for token in node.child_ids.tolist():
+        child = node.children[token]
+        yield f"{depth}\t{token}\t{int(child.is_terminal)}\n"
+        yield from recursive_snapshot_lines(child, depth + 1)
 
 
 def two_doc_setup():
@@ -337,6 +347,32 @@ class TestSnapshot:
         assert loaded.docid_paths == trie.docid_paths
         dump_trie(loaded, tmp_path / "again.txt")
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dump_equals_recursive_preorder(self, tmp_path, seed):
+        rng = random.Random(seed)
+        corpus = random_corpus(rng, rng.randint(1, 40))
+        vocab = build_vocabulary(corpus, [])
+        trie = build_trie(corpus, vocab)
+        dump_trie(trie, tmp_path / "trie.txt")
+        expected = "".join(recursive_snapshot_lines(trie.root))
+        prefixes = {path[:i] for path in trie.docid_paths.values() for i in range(1, len(path) + 1)}
+        assert expected.count("\n") == len(prefixes)
+        assert (tmp_path / "trie.txt").read_text(encoding="utf-8") == expected
+
+    def test_docid_of_five_thousand_tokens(self, tmp_path):
+        corpus_file, out = tmp_path / "corpus.jsonl", tmp_path / "index"
+        title = " ".join(f"w{i % 97}" for i in range(4998))  # 4998 words, then "#" and "s"
+        rows = [{"id": "1", "title": title, "section": "s", "text": "long."},
+                {"id": "2", "title": "short", "section": "s", "text": "tiny."}]
+        corpus_file.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        assert main(["index", "--corpus", str(corpus_file), "--out", str(out)]) == 0
+        corpus, vocab = ingest_corpus(corpus_file), load_vocabulary(out / "vocab.txt")
+        trie = load_trie(out / "trie.txt", corpus, vocab)
+        assert len(trie.docid_paths[f"{title} # s"]) == 5000
+        lines = (out / "trie.txt").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 5000 + 3
+        assert lines[-1] == f"4999\t{vocab.id_of('s')}\t1"
 
     def test_empty_trie_snapshot(self, tmp_path):
         corpus = corpus_from_rows([])

@@ -121,6 +121,10 @@ GRAMMAR: dict[Phase, tuple[int, Phase, tuple[tuple[range, Phase], ...]]] = {
                                           (WORD, Phase.CLOSED_BOOK))),
 }
 
+# Per phase, the classes a mask is built from: the exit symbol, then the body's.
+_MASK_CLASSES = {phase: (_symbol(exit_symbol),) + tuple(cls for cls, _ in body)
+                 for phase, (exit_symbol, _, body) in GRAMMAR.items()}
+
 # Phases whose EOS is the decision to stop: it is scored but never emitted,
 # and a spent budget stops the phase without a decision.
 SILENT_STOP = frozenset({Phase.LIST, Phase.CLOSED_BOOK})
@@ -218,8 +222,7 @@ def allowed_mask(
                 f"no continuation from inner prefix {list(state.span.inner_prefix)}"
             )
         return ids
-    exit_symbol, _, body = GRAMMAR[state.phase]
-    classes = (_symbol(exit_symbol),) + tuple(cls for cls, _ in body)
+    classes = _MASK_CLASSES[state.phase]
     if _spent(state) or (state.phase is Phase.LIST and len(trie) == len(excl)):
         classes = classes[:1]
     elif state.phase is Phase.REFS and state.plan.refs is not None:

@@ -12,12 +12,18 @@ context document, and the answer follows, so the query is processed exactly
 once. A pipeline variant rebuilds the context between retrieval and reading,
 which is what the per-query cost counters are there to compare.
 
+A DocID step scores the scorer's dense vector over the trie mask, because
+the span score renormalizes over it. Every other step takes its token from
+the scorer's sparse row (:func:`docidlm.lm.row_scorer`) and the mask's one
+run of ids, so its cost follows the row's length, not the vocabulary's.
+
 Ties in the greedy argmax always break toward the lowest token id, which
 makes every decode reproducible.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -25,7 +31,7 @@ import numpy as np
 
 from .constraints import SILENT_STOP, GrammarError, GrammarState, Phase, Plan, allowed_mask, step
 from .corpus import Corpus, Document
-from .lm import Context, LmScorer
+from .lm import Context, LmScorer, Row, row_scorer
 from .tokens import (ANSWER_OPEN, DOCID_CLOSE, DOCID_OPEN, EOS, SPECIAL_SURFACES, Vocabulary, decode,
                      encode)
 from .trie import DocIdTrie, ExclusionSet
@@ -101,10 +107,11 @@ def _logsumexp(values: np.ndarray) -> float:
 
 
 class _Session:
-    """One decode: scorer context, token trace, DocID exclusions and cost meter."""
+    """One decode: scorer context, token trace, spans, DocID exclusions and cost meter."""
 
     def __init__(self, lm: LmScorer, trie: DocIdTrie, prompt: Sequence[int]):
         self.lm = lm
+        self.next_row = row_scorer(lm)
         self.trie = trie
         self.excl = ExclusionSet(trie)
         self.cost = DecodeCost()
@@ -112,6 +119,8 @@ class _Session:
         self.trace: list[int] = []
         self.docids: list[str] = []
         self.scores: list[float] = []
+        self.references: list[list[int]] = []  # the text of each reference span
+        self.answer: list[int] = []
         self.ingest(prompt)
 
     def ingest(self, tokens: Sequence[int]) -> None:
@@ -119,16 +128,20 @@ class _Session:
         self.cost.context_tokens += len(tokens)
 
     def run(self, state: GrammarState, until: Phase) -> GrammarState:
-        """Decode greedily from ``state`` until the automaton reaches ``until``."""
+        """Decode greedily from ``state`` until the automaton reaches ``until``.
+
+        Reference and answer tokens are recorded as the automaton enters and
+        stays in those phases, so a result needs no parse of its own trace.
+        """
         vocab_size = self.lm.vocab.size
         span_logprob = 0.0
         while state.phase is not until:
             allowed = allowed_mask(state, self.trie, self.excl, vocab_size)
-            values = self.lm.next_logprobs(self.context)[allowed]
             self.cost.scorer_calls += 1
-            best = int(np.argmax(values))  # first maximum, ids ascending: lowest-id tie-break
-            token = int(allowed[best])
             if state.phase is Phase.DOCID:
+                values = self.lm.next_logprobs(self.context)[allowed]
+                best = int(values.argmax())  # first maximum, ids ascending: lowest-id tie-break
+                token = int(allowed[best])
                 if token == DOCID_CLOSE:
                     completed = self.trie.node_at(state.span.inner_prefix).terminal_docid
                     self.excl.add(completed)
@@ -137,14 +150,56 @@ class _Session:
                     span_logprob = 0.0
                 else:  # renormalized over the mask; only DocID span scores use it
                     span_logprob += float(values[best] - _logsumexp(values))
+            else:
+                token = _greedy_choice(self.next_row(self.context), allowed)
             if token != EOS or state.phase not in SILENT_STOP:
                 self.ingest([token])
                 self.trace.append(token)
-            state = step(state, token)
+            nxt = step(state, token)
+            if nxt.phase is Phase.REF:
+                if state.phase is Phase.REF:
+                    self.references[-1].append(token)
+                else:
+                    self.references.append([])
+            elif nxt.phase is Phase.ANSWER and state.phase is Phase.ANSWER:
+                self.answer.append(token)
+            state = nxt
         return state
 
     def ranked(self) -> RankedDocIds:
         return RankedDocIds(tuple(self.docids), tuple(self.scores))
+
+
+def _greedy_choice(row: Row, allowed: np.ndarray) -> int:
+    """The lowest-id argmax of ``expand_row(row, V)[allowed]``, with no vocabulary-sized array.
+
+    ``allowed`` is ascending: a few lone ids, then one run of consecutive ids
+    ``lo..hi``, so a row id's place in the run is ``id - lo``. The candidates
+    are the first maximum among the listed ids of the run, the lowest id of
+    the run the row does not list (it takes the fill value), and each lone id.
+    """
+    hi = int(allowed[-1])
+    offset = hi - len(allowed) + 1  # allowed[i] - i along the run
+    lone = 0
+    while allowed[lone] - lone != offset:
+        lone += 1
+    lo = offset + lone
+    fill, ids, values = row
+    start, stop = ids.searchsorted((lo, hi + 1)).tolist()
+    candidates = []
+    if start < stop:
+        best = start + int(values[start:stop].argmax())
+        candidates.append((values[best], -int(ids[best])))
+    if stop - start <= hi - lo:  # some id of the run is not listed
+        unlisted = lo
+        if start < stop and ids[start] == lo:
+            # ids[i] - i ascends, and equals lo - start while the run is listed from lo on
+            unlisted += bisect.bisect_right(range(start, stop), lo - start, key=lambda i: ids[i] - i)
+        candidates.append((fill, -unlisted))
+    for token in allowed[:lone].tolist():
+        at = int(ids.searchsorted(token))
+        candidates.append((values[at] if at < len(ids) and ids[at] == token else fill, -token))
+    return -max(candidates)[1]
 
 
 def generate_docid_list(lm: LmScorer, trie: DocIdTrie, query: str, k: int) -> RankedDocIds:
@@ -201,14 +256,18 @@ def layout_text(layout: Layout) -> str:
     return " ".join(piece if isinstance(piece, str) else SPECIAL_SURFACES[piece] for piece in layout)
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"document budget must be >= 1, not {budget!r}")
+
+
 def render_document_tokens(vocab: Vocabulary, doc: Document, budget: int) -> list[int]:
     """The rendered document, truncated to ``budget`` tokens.
 
     The body tail is dropped first; the header is only cut when the budget is
     smaller than the header itself.
     """
-    if budget < 1:
-        raise ValueError(f"document budget must be >= 1, not {budget!r}")
+    _check_budget(budget)
     return encode(vocab, render_document_text(doc))[:budget]
 
 
@@ -226,6 +285,7 @@ def _generate_rag(
 ) -> RagResult:
     if not k_retrieve >= k_context >= 1:
         raise DecodeError("need k_retrieve >= k_context >= 1")
+    _check_budget(budget)
     if len(trie) == 0:
         raise DecodeError("cannot decode DocIDs over an empty trie")
     prompt = encode(lm.vocab, f"{RAG_PREFIX} {query}")
@@ -239,12 +299,11 @@ def _generate_rag(
     for doc_id in context_docids:
         session.ingest(render_document_tokens(lm.vocab, corpus.get(doc_id), budget))
     session.run(state, Phase.DONE)
-    parsed = parse_rag_trace(session.trace)
     return RagResult(
         docids=session.ranked(),
         context_docids=context_docids,
-        references=tuple(decode(lm.vocab, span) for span in parsed.reference_spans),
-        answer=decode(lm.vocab, parsed.answer_tokens),
+        references=tuple(decode(lm.vocab, span) for span in session.references),
+        answer=decode(lm.vocab, session.answer),
         token_trace=tuple(session.trace),
         decode_cost=session.cost,
         closed_book_fallback=not context_docids,

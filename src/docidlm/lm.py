@@ -3,7 +3,10 @@ reference model, and an adapter for a remote model server.
 
 Every scorer maps a token context to one log-probability per vocabulary id,
 summing to 1 in probability space, deterministic, and floored at a finite
-minimum so downstream sums never see -inf.
+minimum so downstream sums never see -inf. A scorer may also give that
+distribution as a sparse row (``next_row``): one fill value plus the ids it
+lists. The n-gram scorer does; :func:`row_scorer` reads any other scorer's
+vector as a row that lists every id.
 """
 
 from __future__ import annotations
@@ -50,6 +53,39 @@ class LmScorer(Protocol):
     vocab: Vocabulary
 
     def next_logprobs(self, context: Sequence[int]) -> np.ndarray: ...
+
+
+Row = tuple[float, np.ndarray, np.ndarray]
+"""A next-token distribution as ``(fill, ids, values)``: the ascending ids it
+lists with their log-probabilities, and the log-probability of every other id."""
+
+
+def expand_row(row: Row, size: int) -> np.ndarray:
+    """The row as a vocabulary-sized vector."""
+    fill, ids, values = row
+    vector = np.full(size, fill)
+    vector[ids] = values
+    return vector
+
+
+@functools.lru_cache(maxsize=8)
+def _every_id(size: int) -> np.ndarray:
+    ids = np.arange(size, dtype=np.int64)
+    ids.flags.writeable = False
+    return ids
+
+
+def row_scorer(lm: LmScorer) -> Callable[[Sequence[int]], Row]:
+    """``lm``'s ``next_row`` method, or one that reads its dense vector as a row listing every id."""
+    next_row = getattr(lm, "next_row", None)
+    if next_row is not None:
+        return next_row
+
+    def dense_row(context: Sequence[int]) -> Row:
+        vector = lm.next_logprobs(context)
+        return -math.inf, _every_id(len(vector)), vector
+
+    return dense_row
 
 
 def _check_tokens(vocab_size: int, tokens: Sequence[int]) -> None:
@@ -177,6 +213,7 @@ class NgramLm:
             counts = np.diff(np.append(np.flatnonzero(new_run), len(new_run)))
             starts = pairs.searchsorted(np.arange(len(keys) + 1) * size)
             pairs %= size
+            pairs.flags.writeable = False  # rows hand out views of it
             tables.append((keys, starts, np.add.reduceat(counts, starts[:-1]), pairs,
                            np.log(counts + self.alpha)))
         self._tables = tables
@@ -200,14 +237,24 @@ class NgramLm:
         lo, hi = starts[group], starts[group + 1]
         return ids[lo:hi], log_counts[lo:hi], int(totals[group])
 
-    def next_logprobs(self, context: Sequence[int]) -> np.ndarray:
+    def next_row(self, context: Sequence[int]) -> Row:
+        """The backoff value and the explicit entries of the longest seen suffix of ``context``.
+
+        ``ids`` is a read-only view of the model's table.
+        """
         _check_context(self.vocab.size, context)
         ids, log_counts, total = self._lookup(context)
         denom = math.log(total + self.alpha * self.vocab.size)
+        values = log_counts - denom
+        # every listed count is at least 1, so only a denominator this large
+        # can bring a listed value near the floor (the 1 absorbs rounding)
+        if math.log1p(self.alpha) - denom < LOG_FLOOR + 1:
+            values = np.maximum(values, LOG_FLOOR)
         # clamping before the fill equals clamping the filled vector
-        vector = np.full(self.vocab.size, max(math.log(self.alpha) - denom, LOG_FLOOR))
-        vector[ids] = np.maximum(log_counts - denom, LOG_FLOOR)
-        return vector
+        return max(math.log(self.alpha) - denom, LOG_FLOOR), ids, values
+
+    def next_logprobs(self, context: Sequence[int]) -> np.ndarray:
+        return expand_row(self.next_row(context), self.vocab.size)
 
 
 def train_ngram(vocab: Vocabulary, texts: Sequence[Sequence[int]],

@@ -288,6 +288,18 @@ class TestRag:
         pipe = generate_rag_pipeline(lm, trie, corpus, "q", k_retrieve=2, k_context=1)
         assert pipe == result
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("generate", [generate_rag, generate_rag_pipeline])
+    def test_budget_below_one_rejected_before_retrieval(self, generate, budget):
+        corpus = corpus_from_rows([("1", "a", "x", "t.")])
+        vocab = build_vocabulary(corpus, ["rag: q"])
+        trie = build_trie(corpus, vocab)
+        # stops the DocID list at once, so no document is ever rendered
+        lm = train_ngram(vocab, [encode(vocab, "rag: q") + [EOS]] * 5, order=3, alpha=0.01)
+        assert generate(lm, trie, corpus, "q", k_retrieve=2, k_context=1).closed_book_fallback
+        with pytest.raises(ValueError, match=rf"^document budget must be >= 1, not {budget}$"):
+            generate(lm, trie, corpus, "q", k_retrieve=2, k_context=1, budget=budget)
+
     def test_argument_validation(self):
         corpus = corpus_from_rows([("1", "a", "x", "t.")])
         vocab = build_vocabulary(corpus, [])

@@ -1,0 +1,390 @@
+"""Free-text decode steps from scorer rows, checked against the dense loop they replace."""
+
+import importlib
+import math
+import random
+import struct
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from docidlm import decoder
+from docidlm.constraints import SILENT_STOP, GrammarState, Phase, Plan, allowed_mask, step
+from docidlm.corpus import build_corpus, canonical_docid, make_document
+from docidlm.decoder import (
+    DecodeCost,
+    RagResult,
+    RankedDocIds,
+    generate_rag,
+    generate_rag_pipeline,
+    parse_rag_trace,
+    render_document_tokens,
+)
+from docidlm.lm import LOG_FLOOR, Context, NgramLm, Row, UniformLm, expand_row, row_scorer
+from docidlm.tokens import DOCID_CLOSE, EOS, build_vocabulary, decode, encode
+from docidlm.training import (
+    build_reference_lm,
+    extract_reference,
+    make_closed_book_example,
+    make_rag_examples,
+    make_retrieval_example,
+)
+from docidlm.trie import DocIdTrie, ExclusionSet, build_trie
+
+from conftest import random_instance
+
+
+def small_vocab(size: int):
+    return build_vocabulary(None, [" ".join(f"w{i:05d}" for i in range(size - 7))])
+
+
+# ---------------------------------------------------------------------------
+# The choice over one mask
+
+
+def free_text_masks(trie: DocIdTrie, vocab_size: int):
+    """Every mask ``allowed_mask`` gives outside a DocID span, by name."""
+    excl = ExclusionSet(trie)
+    states = {
+        "list": GrammarState(Phase.LIST, Plan(docids=3)),
+        "list spent": GrammarState(Phase.LIST, Plan(docids=3), docids=3),
+        "refs unbounded": GrammarState(Phase.REFS),
+        "forced <ref>": GrammarState(Phase.REFS, Plan(refs=2), docids=2),
+        "forced <answer>": GrammarState(Phase.REFS, Plan(refs=2), docids=2, refs=2),
+        "reference": GrammarState(Phase.REF, Plan(ref_tokens=4), length=1),
+        "reference at its cap": GrammarState(Phase.REF, Plan(ref_tokens=4), length=4),
+        "answer": GrammarState(Phase.ANSWER, Plan(answer_tokens=4)),
+        "answer spent": GrammarState(Phase.ANSWER, Plan(answer_tokens=4), length=4),
+        "closed-book": GrammarState(Phase.CLOSED_BOOK, Plan(answer_tokens=4)),
+        "closed-book spent": GrammarState(Phase.CLOSED_BOOK, Plan(answer_tokens=4), length=4),
+    }
+    masks = {name: allowed_mask(state, trie, excl, vocab_size) for name, state in states.items()}
+    masks["list, every DocID excluded"] = allowed_mask(states["list"], DocIdTrie(), excl, vocab_size)
+    return masks
+
+
+def random_row(rng: random.Random, vocab_size: int) -> Row:
+    """Rows with ties among listed values, at the fill and at ``LOG_FLOOR``."""
+    fill = rng.choice([LOG_FLOOR, -3.0, -math.log(vocab_size), rng.uniform(-9, -1)])
+    shape = rng.choice(["empty", "every id", "from unk on", "dense", "sparse", "sparse"])
+    if shape == "empty":
+        ids = []
+    elif shape == "every id":
+        ids = list(range(vocab_size))
+    elif shape == "from unk on":  # the run of a free-text mask, listed whole
+        ids = list(range(6, vocab_size))
+    else:
+        share = 0.8 if shape == "dense" else 0.2
+        ids = [t for t in range(vocab_size) if rng.random() < share]
+    pool = [fill, LOG_FLOOR, -1.0, -2.0, rng.uniform(-9, 0)]
+    values = [rng.choice(pool) for _ in ids]
+    return fill, np.array(ids, dtype=np.int64), np.array(values)
+
+
+def oracle_choice(row: Row, allowed: np.ndarray, vocab_size: int) -> int:
+    vector = expand_row(row, vocab_size)
+    return min(allowed.tolist(), key=lambda t: (-vector[t], t))
+
+
+class TestGreedyChoice:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_lowest_id_argmax_on_every_free_text_mask(self, seed):
+        rng = random.Random(seed)
+        _, _, trie, _, _ = random_instance(rng, 5)
+        seen = set()
+        for _ in range(150):
+            vocab_size = rng.choice([7, 8, 9, 12, 20, 64])
+            row = random_row(rng, vocab_size)
+            for name, allowed in free_text_masks(trie, vocab_size).items():
+                expected = oracle_choice(row, allowed, vocab_size)
+                assert decoder._greedy_choice(row, allowed) == expected, (name, row, allowed)
+                seen.add(name)
+        assert len(seen) == 12
+
+    def test_dense_scorer_reads_its_vector_as_a_full_row(self):
+        rng = random.Random(5)
+        vocab = small_vocab(40)
+        lm = UniformLm(vocab)
+        _, ids, values = row_scorer(lm)([])
+        assert ids.tolist() == list(range(vocab.size))
+        assert values.tobytes() == lm.next_logprobs([]).tobytes()
+        assert ids is row_scorer(lm)([9])[1]  # built once per vocabulary size
+        for allowed in free_text_masks(DocIdTrie(), vocab.size).values():
+            values = np.array([rng.choice([-1.0, -2.0, LOG_FLOOR]) for _ in range(vocab.size)])
+            dense = (-math.inf, ids, values)
+            assert decoder._greedy_choice(dense, allowed) == oracle_choice(dense, allowed, vocab.size)
+
+
+class TestNgramRow:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_expanded_row_is_the_vector(self, order):
+        corpus, vocab, _, lm, queries = random_instance(random.Random(order), 8, order=order)
+        assert isinstance(lm, NgramLm)
+        texts = [encode(vocab, q) for q in queries]
+        texts += [encode(vocab, doc.body) for doc in corpus.documents.values()]
+        for text in texts:
+            for end in range(len(text) + 1):
+                fill, ids, values = row = lm.next_row(text[:end])
+                assert np.all(np.diff(ids) > 0) and len(ids) == len(values)
+                assert min(values, default=0.0) >= LOG_FLOOR and fill >= LOG_FLOOR
+                assert expand_row(row, vocab.size).tobytes() == lm.next_logprobs(text[:end]).tobytes()
+
+    @pytest.mark.parametrize("total", [10**6, 10**11, 10**12, 10**13, 10**15])
+    def test_listed_values_clamp_at_the_floor(self, total):
+        # no real fit reaches such totals; scale one group's total to cross the floor
+        vocab = small_vocab(20)
+        lm = NgramLm(vocab, order=2, alpha=0.1).fit([[7, 8, 7, 9, 7, 8]])
+        keys, starts, totals, ids, log_counts = lm._tables[1]
+        group = int(keys.searchsorted(7))
+        totals[group] = total
+        fill, row_ids, values = lm.next_row([7])
+        listed = slice(starts[group], starts[group + 1])
+        denom = math.log(total + 0.1 * vocab.size)
+        assert row_ids.tolist() == ids[listed].tolist() == [8, 9]
+        assert values.tobytes() == np.maximum(log_counts[listed] - denom, LOG_FLOOR).tobytes()
+        assert fill == max(math.log(0.1) - denom, LOG_FLOOR)
+        assert (values == LOG_FLOOR).all() == (total >= 10**13)
+
+    def test_row_of_an_unfit_model_lists_nothing(self):
+        vocab = small_vocab(20)
+        fill, ids, values = NgramLm(vocab).next_row([7, 8])
+        assert len(ids) == len(values) == 0
+        assert fill == -math.log(vocab.size)
+
+
+# ---------------------------------------------------------------------------
+# Whole decodes against the dense loop
+
+
+def oracle_rag_decode(lm, trie, corpus, query, k_retrieve, k_context, budget,
+                      max_ref_tokens, max_answer_tokens, rebuild_context) -> RagResult:
+    """The dense RAG loop: argmax of ``next_logprobs(context)[allowed]``, then a trace parse."""
+    vocab_size = lm.vocab.size
+    excl = ExclusionSet(trie)
+    cost = DecodeCost()
+    trace, docids, scores = [], [], []
+    prompt = encode(lm.vocab, f"rag: {query}")
+    context = Context(vocab_size)
+
+    def ingest(tokens):
+        context.extend(tokens)
+        cost.context_tokens += len(tokens)
+
+    def run(state, until):
+        span_logprob = 0.0
+        while state.phase is not until:
+            allowed = allowed_mask(state, trie, excl, vocab_size)
+            values = lm.next_logprobs(context)[allowed]
+            cost.scorer_calls += 1
+            best = int(np.argmax(values))
+            token = int(allowed[best])
+            if state.phase is Phase.DOCID:
+                if token == DOCID_CLOSE:
+                    completed = trie.node_at(state.span.inner_prefix).terminal_docid
+                    excl.add(completed)
+                    docids.append(completed)
+                    scores.append(span_logprob)
+                    span_logprob = 0.0
+                else:
+                    peak = float(values.max())
+                    logsumexp = peak + float(np.log(np.exp(values - peak).sum()))
+                    span_logprob += float(values[best] - logsumexp)
+            if token != EOS or state.phase not in SILENT_STOP:
+                ingest([token])
+                trace.append(token)
+            state = step(state, token)
+        return state
+
+    ingest(prompt)
+    plan = Plan(k_retrieve, k_context, max_ref_tokens, max_answer_tokens)
+    state = run(GrammarState(Phase.LIST, plan), Phase.REFS)
+    context_docids = tuple(docids[:k_context])
+    if rebuild_context and context_docids:
+        context = Context(vocab_size)
+        ingest(prompt)
+    for doc_id in context_docids:
+        ingest(render_document_tokens(lm.vocab, corpus.get(doc_id), budget))
+    run(state, Phase.DONE)
+    parsed = parse_rag_trace(trace)
+    return RagResult(
+        docids=RankedDocIds(tuple(docids), tuple(scores)),
+        context_docids=context_docids,
+        references=tuple(decode(lm.vocab, span) for span in parsed.reference_spans),
+        answer=decode(lm.vocab, parsed.answer_tokens),
+        token_trace=tuple(trace),
+        decode_cost=cost,
+        closed_book_fallback=not context_docids,
+    )
+
+
+class TieLm:
+    """A dense scorer with many ties: each value is one of three, drawn from the last two tokens."""
+
+    def __init__(self, vocab, seed):
+        self.vocab = vocab
+        self._seed = seed
+
+    def next_logprobs(self, context):
+        rng = np.random.default_rng([self._seed, *(t + 1 for t in list(context)[-2:])])
+        return rng.choice([-1.0, -2.5, LOG_FLOOR], size=self.vocab.size, p=[0.1, 0.3, 0.6])
+
+
+@pytest.fixture
+def dense_vectors(monkeypatch):
+    """Counts the dense vectors every ``NgramLm`` builds."""
+    calls = []
+    dense = NgramLm.next_logprobs
+
+    def counted(self, context):
+        calls.append(len(context))
+        return dense(self, context)
+
+    monkeypatch.setattr(NgramLm, "next_logprobs", counted)
+    return calls
+
+
+class RecordingSession(decoder._Session):
+    made: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made.append(self)
+
+
+def assert_same_decode(result: RagResult, expected: RagResult) -> None:
+    assert result.token_trace == expected.token_trace
+    assert result.docids.docids == expected.docids.docids
+    pack = lambda scores: struct.pack(f"{len(scores)}d", *scores)  # noqa: E731
+    assert pack(result.docids.per_docid_logprob) == pack(expected.docids.per_docid_logprob)
+    assert result.references == expected.references
+    assert result.answer == expected.answer
+    assert result.decode_cost == expected.decode_cost
+    assert result == expected
+
+
+def check_against_oracle(monkeypatch, dense_vectors, lm, trie, corpus, query, **limits):
+    """Decode in both modes and compare with the oracle; also compare the session's
+    spans with the parse, and count the dense vectors built (DocID steps only)."""
+    monkeypatch.setattr(decoder, "_Session", RecordingSession)
+    for generate, rebuild in ((generate_rag, False), (generate_rag_pipeline, True)):
+        RecordingSession.made.clear()
+        dense_vectors.clear()
+        result = generate(lm, trie, corpus, query, **limits)
+        parsed = parse_rag_trace(result.token_trace)
+        if isinstance(lm, NgramLm):
+            assert len(dense_vectors) == sum(len(span) + 1 for span in parsed.docid_spans)
+        assert_same_decode(result, oracle_rag_decode(lm, trie, corpus, query, **limits,
+                                                     rebuild_context=rebuild))
+        (session,) = RecordingSession.made
+        assert session.references == [list(span) for span in parsed.reference_spans]
+        assert session.answer == list(parsed.answer_tokens)
+        yield result
+
+
+def random_limits(rng: random.Random) -> dict:
+    k_retrieve = rng.randint(1, 5)
+    return dict(k_retrieve=k_retrieve, k_context=rng.randint(1, k_retrieve),
+                budget=rng.choice([1, 4, 12, 256]), max_ref_tokens=rng.randint(0, 6),
+                max_answer_tokens=rng.randint(0, 6))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_rag_decodes_equal_the_dense_loop(monkeypatch, dense_vectors, order):
+    rng = random.Random(100 + order)
+    answered = 0
+    for _ in range(12):
+        corpus, _, trie, lm, queries = random_instance(rng, rng.randint(1, 14), order=order)
+        for result in check_against_oracle(monkeypatch, dense_vectors, lm, trie, corpus,
+                                           rng.choice(queries), **random_limits(rng)):
+            answered += bool(result.answer)
+    assert answered
+
+
+@pytest.mark.parametrize("make_lm", [UniformLm, lambda vocab: TieLm(vocab, 3)],
+                         ids=["uniform", "ties"])
+def test_rag_decodes_of_dense_scorers_equal_the_dense_loop(monkeypatch, dense_vectors, make_lm):
+    rng = random.Random(7)
+    for _ in range(10):
+        corpus, vocab, trie, _, queries = random_instance(rng, rng.randint(1, 14))
+        for _ in check_against_oracle(monkeypatch, dense_vectors, make_lm(vocab), trie, corpus,
+                                      rng.choice(queries), **random_limits(rng)):
+            pass
+
+
+@pytest.fixture(scope="module")
+def bench_engine():
+    """A 600-DocID benchmark corpus with 240-word bodies and an order-3 scorer on it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        corpusgen = importlib.import_module("corpusgen")
+    records, golds = corpusgen.generate(corpusgen.CorpusShape(600, 240, 4, 600, 300), seed=11)
+    corpus = build_corpus([make_document(r["id"], r["title"], r["section"], r["text"])
+                           for r in records])
+    queries = [gold["input"] for gold in golds]
+    answers = [gold["output"][0]["answer"] for gold in golds]
+    vocab = build_vocabulary(corpus, list(decoder.TASK_PREFIXES) + queries + answers)
+    rng = random.Random(11)
+    examples = []
+    for gold, query, answer in zip(golds, queries, answers):
+        provenance = gold["output"][0]["provenance"][0]
+        ranked = [canonical_docid(provenance["title"], provenance["section"])]
+        ranked += rng.sample(sorted(corpus.documents), 3)
+        docs = [corpus.get(doc_id) for doc_id in ranked[:2]]
+        examples += [make_retrieval_example(query, ranked), make_closed_book_example(query, answer)]
+        examples += make_rag_examples(query, docs, extract_reference(docs, answer), answer, tau=0.0)
+    lm = build_reference_lm(corpus, vocab, examples, order=3)
+    return corpus, build_trie(corpus, vocab), lm, queries
+
+
+def test_rag_decodes_equal_the_dense_loop_at_benchmark_scale(monkeypatch, dense_vectors,
+                                                            bench_engine):
+    corpus, trie, lm, queries = bench_engine
+    cut = 0
+    for query in queries:
+        for result in check_against_oracle(monkeypatch, dense_vectors, lm, trie, corpus, query,
+                                           k_retrieve=10, k_context=3, budget=256,
+                                           max_ref_tokens=64, max_answer_tokens=64):
+            assert len(result.docids) > 1
+            cut += sum(len(encode(lm.vocab, decoder.render_document_text(corpus.get(d)))) > 256
+                       for d in result.context_docids)
+    assert cut  # the budget cuts a context document
+
+
+def test_free_text_step_allocates_nothing_vocabulary_sized(monkeypatch):
+    rows = [("0", "alpha", "one", "w00001 w00002 w00003. w00004 w00005."),
+            ("1", "beta", "two", "w00002 w00003 w00006. w00007 w00001.")]
+    corpus = build_corpus([make_document(*row) for row in rows])
+    filler = " ".join(f"w{i:05d}" for i in range(50_000))
+    vocab = build_vocabulary(corpus, list(decoder.TASK_PREFIXES) + [filler])
+    assert vocab.size > 50_000
+    rng = random.Random(3)
+    texts = [encode(vocab, doc.body) for doc in corpus.documents.values()]
+    texts += [[rng.randrange(7, 2_000) for _ in range(40)] for _ in range(50)]
+    lm = NgramLm(vocab, order=3).fit(texts)
+    trie = build_trie(corpus, vocab)
+    limits = dict(k_retrieve=2, k_context=2, max_ref_tokens=8, max_answer_tokens=8)
+    generate_rag(lm, trie, corpus, "w00001 alpha", **limits)  # builds the shared masks
+
+    transients: list[tuple[Phase, int]] = []
+    grammar_step = decoder.step
+
+    def measured_step(state, token):
+        current, peak = tracemalloc.get_traced_memory()
+        transients.append((state.phase, peak - current))
+        tracemalloc.reset_peak()
+        return grammar_step(state, token)
+
+    monkeypatch.setattr(decoder, "step", measured_step)
+    tracemalloc.start()
+    try:
+        result = generate_rag(lm, trie, corpus, "w00001 alpha", **limits)
+    finally:
+        tracemalloc.stop()
+    assert result.context_docids
+    free_text = [size for phase, size in transients if phase is not Phase.DOCID]
+    docid = [size for phase, size in transients if phase is Phase.DOCID]
+    assert len(free_text) > 10 and docid
+    assert max(docid) >= 8 * vocab.size  # the DocID steps keep the dense vector
+    assert max(free_text) < 8 * vocab.size

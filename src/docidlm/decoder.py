@@ -12,7 +12,8 @@ context document, and the answer follows, so the query is processed exactly
 once. A pipeline variant rebuilds the context between retrieval and reading,
 which is what the per-query cost counters are there to compare.
 
-A DocID step scores the scorer's dense vector over the trie mask, because
+A step whose mask holds one token emits it without a scorer call. Any other
+DocID step scores the scorer's dense vector over the trie mask, because
 the span score renormalizes over it. Every other step takes its token from
 the scorer's sparse row (:func:`docidlm.lm.row_scorer`) and the mask's one
 run of ids, so its cost follows the row's length, not the vocabulary's.
@@ -59,10 +60,12 @@ class DecodeError(RuntimeError):
 
 @dataclass
 class DecodeCost:
-    """Scorer invocations and tokens fed into decoder contexts.
+    """Scorer calls made and tokens fed into decoder contexts.
 
-    ``context_tokens`` counts every token ingested into a session context,
-    including re-processing when a pipeline decode rebuilds its context.
+    ``scorer_calls`` counts calls, not steps: a step whose mask holds one
+    token takes it without asking the scorer. ``context_tokens`` counts
+    every token ingested into a session context, including re-processing
+    when a pipeline decode rebuilds its context.
     """
 
     scorer_calls: int = 0
@@ -137,21 +140,24 @@ class _Session:
         span_logprob = 0.0
         while state.phase is not until:
             allowed = allowed_mask(state, self.trie, self.excl, vocab_size)
-            self.cost.scorer_calls += 1
-            if state.phase is Phase.DOCID:
-                values = self.lm.next_logprobs(self.context)[allowed]
-                best = int(values.argmax())  # first maximum, ids ascending: lowest-id tie-break
-                token = int(allowed[best])
-                if token == DOCID_CLOSE:
-                    completed = self.trie.node_at(state.span.inner_prefix).terminal_docid
-                    self.excl.add(completed)
-                    self.docids.append(completed)
-                    self.scores.append(span_logprob)
-                    span_logprob = 0.0
-                else:  # renormalized over the mask; only DocID span scores use it
-                    span_logprob += float(values[best] - _logsumexp(values))
+            if len(allowed) == 1:  # forced: the greedy choice, and a span term of exactly 0.0
+                token = int(allowed[0])
             else:
-                token = _greedy_choice(self.next_row(self.context), allowed)
+                self.cost.scorer_calls += 1
+                if state.phase is Phase.DOCID:
+                    values = self.lm.next_logprobs(self.context)[allowed]
+                    best = int(values.argmax())  # first maximum, ids ascending: lowest-id tie-break
+                    token = int(allowed[best])
+                    if token != DOCID_CLOSE:  # renormalized over the mask; only span scores use it
+                        span_logprob += float(values[best] - _logsumexp(values))
+                else:
+                    token = _greedy_choice(self.next_row(self.context), allowed)
+            if token == DOCID_CLOSE:
+                completed = self.trie.node_at(state.span.inner_prefix).terminal_docid
+                self.excl.add(completed)
+                self.docids.append(completed)
+                self.scores.append(span_logprob)
+                span_logprob = 0.0
             if token != EOS or state.phase not in SILENT_STOP:
                 self.ingest([token])
                 self.trace.append(token)
@@ -285,6 +291,8 @@ def _generate_rag(
 ) -> RagResult:
     if not k_retrieve >= k_context >= 1:
         raise DecodeError("need k_retrieve >= k_context >= 1")
+    if min(max_ref_tokens, max_answer_tokens) < 0:
+        raise DecodeError("max_ref_tokens and max_answer_tokens must be >= 0")
     _check_budget(budget)
     if len(trie) == 0:
         raise DecodeError("cannot decode DocIDs over an empty trie")

@@ -310,6 +310,24 @@ class TestRag:
         with pytest.raises(DecodeError):
             generate_rag(lm, trie, corpus, "q", k_retrieve=1, k_context=0)
 
+    @pytest.mark.parametrize("caps", [dict(max_ref_tokens=-3), dict(max_answer_tokens=-1),
+                                      dict(max_ref_tokens=-1, max_answer_tokens=-1)])
+    @pytest.mark.parametrize("generate", [generate_rag, generate_rag_pipeline])
+    def test_negative_caps_rejected_before_decoding(self, monkeypatch, generate, caps):
+        corpus, vocab, trie, lm, queries = random_instance(random.Random(89), 6)
+        limits = dict(k_retrieve=3, k_context=2)
+        empty = generate(lm, trie, corpus, queries[0], **limits, max_ref_tokens=0,
+                         max_answer_tokens=0)  # an empty reference or answer is legal
+        assert empty.context_docids and empty.answer == ""
+        assert empty.references == ("",) * len(empty.context_docids)
+
+        def no_decoding(*args):
+            raise AssertionError("decoded with a negative cap")
+
+        monkeypatch.setattr(decoder, "allowed_mask", no_decoding)
+        with pytest.raises(DecodeError, match="^max_ref_tokens and max_answer_tokens must be >= 0$"):
+            generate(lm, trie, corpus, queries[0], **limits, **caps)
+
 
 def test_each_context_token_is_range_checked_once(monkeypatch):
     checked, costs = [], []

@@ -17,13 +17,14 @@ from docidlm.decoder import (
     DecodeCost,
     RagResult,
     RankedDocIds,
+    generate_docid_list,
     generate_rag,
     generate_rag_pipeline,
     parse_rag_trace,
     render_document_tokens,
 )
 from docidlm.lm import LOG_FLOOR, Context, NgramLm, Row, UniformLm, expand_row, row_scorer
-from docidlm.tokens import DOCID_CLOSE, EOS, build_vocabulary, decode, encode
+from docidlm.tokens import DOCID_CLOSE, DOCID_OPEN, EOS, build_vocabulary, decode, encode
 from docidlm.training import (
     build_reference_lm,
     extract_reference,
@@ -34,6 +35,7 @@ from docidlm.training import (
 from docidlm.trie import DocIdTrie, ExclusionSet, build_trie
 
 from conftest import random_instance
+from test_decoder import oracle_docid_list
 
 
 def small_vocab(size: int):
@@ -177,7 +179,8 @@ def oracle_rag_decode(lm, trie, corpus, query, k_retrieve, k_context, budget,
         while state.phase is not until:
             allowed = allowed_mask(state, trie, excl, vocab_size)
             values = lm.next_logprobs(context)[allowed]
-            cost.scorer_calls += 1
+            if len(allowed) > 1:  # a one-token mask is not asked
+                cost.scorer_calls += 1
             best = int(np.argmax(values))
             token = int(allowed[best])
             if state.phase is Phase.DOCID:
@@ -264,17 +267,36 @@ def assert_same_decode(result: RagResult, expected: RagResult) -> None:
     assert result == expected
 
 
+def record_masks(monkeypatch) -> list[tuple[Phase, int]]:
+    """The phase and size of every mask the decoder asks for, in order."""
+    masks = []
+    mask = decoder.allowed_mask
+
+    def recorded(state, *args):
+        allowed = mask(state, *args)
+        masks.append((state.phase, len(allowed)))
+        return allowed
+
+    monkeypatch.setattr(decoder, "allowed_mask", recorded)
+    return masks
+
+
 def check_against_oracle(monkeypatch, dense_vectors, lm, trie, corpus, query, **limits):
     """Decode in both modes and compare with the oracle; also compare the session's
-    spans with the parse, and count the dense vectors built (DocID steps only)."""
+    spans with the parse, and count the dense vectors built (DocID steps whose mask
+    holds more than one id only)."""
     monkeypatch.setattr(decoder, "_Session", RecordingSession)
+    masks = record_masks(monkeypatch)
     for generate, rebuild in ((generate_rag, False), (generate_rag_pipeline, True)):
         RecordingSession.made.clear()
         dense_vectors.clear()
+        masks.clear()
         result = generate(lm, trie, corpus, query, **limits)
         parsed = parse_rag_trace(result.token_trace)
+        docid_masks = [size for phase, size in masks if phase is Phase.DOCID]
+        assert len(docid_masks) == sum(len(span) + 1 for span in parsed.docid_spans)
         if isinstance(lm, NgramLm):
-            assert len(dense_vectors) == sum(len(span) + 1 for span in parsed.docid_spans)
+            assert len(dense_vectors) == sum(size > 1 for size in docid_masks)
         assert_same_decode(result, oracle_rag_decode(lm, trie, corpus, query, **limits,
                                                      rebuild_context=rebuild))
         (session,) = RecordingSession.made
@@ -350,6 +372,112 @@ def test_rag_decodes_equal_the_dense_loop_at_benchmark_scale(monkeypatch, dense_
             cut += sum(len(encode(lm.vocab, decoder.render_document_text(corpus.get(d)))) > 256
                        for d in result.context_docids)
     assert cut  # the budget cuts a context document
+
+
+# ---------------------------------------------------------------------------
+# Forced steps: a one-token mask's token is taken without asking the scorer
+
+
+class GuardedLm:
+    """``lm`` behind a gate: asking it while the decoder's last mask held one id fails."""
+
+    def __init__(self, lm, masks: list[tuple[Phase, int]]):
+        self.vocab = lm.vocab
+        self._lm = lm
+        self._masks = masks
+        if hasattr(lm, "next_row"):
+            self.next_row = lambda context: self._ask(lm.next_row, context)
+
+    def _ask(self, method, context):
+        phase, size = self._masks[-1]
+        if size == 1:
+            raise AssertionError(f"scorer asked at a forced {phase.value} step")
+        return method(context)
+
+    def next_logprobs(self, context):
+        return self._ask(self._lm.next_logprobs, context)
+
+
+def oracle_span_scores(lm, trie, prompt, trace) -> list[float]:
+    """The score of each DocID span in ``trace``, from the dense vector at every span step."""
+    vocab_size = lm.vocab.size
+    excl = ExclusionSet(trie)
+    context, scores = list(prompt), []
+    state = GrammarState(Phase.LIST)
+    for token in trace:
+        if token == DOCID_OPEN:
+            span_logprob = 0.0
+        elif token == DOCID_CLOSE:
+            excl.add(trie.node_at(state.span.inner_prefix).terminal_docid)
+            scores.append(span_logprob)
+        else:
+            allowed = allowed_mask(state, trie, excl, vocab_size)
+            values = lm.next_logprobs(context)[allowed]
+            peak = float(values.max())
+            logsumexp = peak + float(np.log(np.exp(values - peak).sum()))
+            span_logprob += float(values[int(allowed.searchsorted(token))] - logsumexp)
+        context.append(token)
+        state = step(state, token)
+    return scores
+
+
+def check_forced_steps(monkeypatch, lm, trie, corpus, query, k, limits) -> int:
+    """Decode a DocID list and a RAG answer in both modes behind the gate; compare each with
+    its dense oracle and count the calls made. Returns the number of forced steps."""
+    monkeypatch.setattr(decoder, "_Session", RecordingSession)
+    masks = record_masks(monkeypatch)
+    guarded = GuardedLm(lm, masks)
+    forced = 0
+    for generate, rebuild in ((generate_docid_list, None), (generate_rag, False),
+                              (generate_rag_pipeline, True)):
+        RecordingSession.made.clear()
+        masks.clear()
+        if generate is generate_docid_list:
+            result = generate(guarded, trie, query, k)
+            prompt = encode(lm.vocab, f"retrieve: {query}")
+            assert list(result.docids) == oracle_docid_list(lm, trie, query, k)
+            (session,) = RecordingSession.made
+            trace = [t for d in result.docids for t in (DOCID_OPEN, *trie.docid_paths[d], DOCID_CLOSE)]
+            assert session.trace == trace
+            scores = oracle_span_scores(lm, trie, prompt, trace)
+            assert struct.pack(f"{len(scores)}d", *result.per_docid_logprob) == \
+                struct.pack(f"{len(scores)}d", *scores)
+            assert session.cost.context_tokens == len(prompt) + len(trace)
+            cost = session.cost
+        else:
+            result = generate(guarded, trie, corpus, query, **limits)
+            assert_same_decode(result, oracle_rag_decode(lm, trie, corpus, query, **limits,
+                                                         rebuild_context=rebuild))
+            cost = result.decode_cost
+        steps_forced = sum(size == 1 for _, size in masks)
+        assert cost.scorer_calls == len(masks) - steps_forced >= 1
+        forced += steps_forced
+    return forced
+
+
+@pytest.mark.parametrize("scorer", ["order 1", "order 2", "order 3", "order 4", "uniform", "ties"])
+def test_forced_steps_ask_no_scorer_and_decode_as_the_dense_loop(monkeypatch, scorer):
+    rng = random.Random(f"forced {scorer}")
+    order = int(scorer[-1]) if scorer.startswith("order") else 3
+    forced = 0
+    for _ in range(10):
+        corpus, vocab, trie, lm, queries = random_instance(rng, rng.randint(1, 14), order=order)
+        if scorer == "uniform":
+            lm = UniformLm(vocab)
+        elif scorer == "ties":
+            lm = TieLm(vocab, rng.randrange(100))
+        forced += check_forced_steps(monkeypatch, lm, trie, corpus, rng.choice(queries),
+                                     rng.randint(1, 6), random_limits(rng))
+    assert forced
+
+
+def test_forced_steps_ask_no_scorer_at_benchmark_scale(monkeypatch, bench_engine):
+    corpus, trie, lm, queries = bench_engine
+    forced = sum(check_forced_steps(monkeypatch, lm, trie, corpus, query, 10,
+                                    dict(k_retrieve=10, k_context=3, budget=256,
+                                         max_ref_tokens=64, max_answer_tokens=64))
+                 for query in queries)
+    assert forced
 
 
 def test_free_text_step_allocates_nothing_vocabulary_sized(monkeypatch):

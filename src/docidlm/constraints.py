@@ -1,22 +1,18 @@
 """The output grammar as one automaton, with dynamic DocID-span tracking.
 
-Every decode and every trace parse runs the same automaton over the grammar
-
     (<docid> w+ </docid>)* (<ref> w* </ref>)* <answer> w* </s>
 
 :data:`GRAMMAR` says which token classes each phase accepts and which phase
-comes next. :func:`allowed_mask` turns a state into the ascending array of
-legal token ids: inside a DocID span the trie and the exclusion set narrow
-it, everywhere else the decode plan does. :func:`step` advances a state by
-one token and rejects a token the phase does not accept.
+comes next. The specification is :func:`step`, which advances a
+:class:`GrammarState` by one token and rejects one the phase does not
+accept, and :func:`allowed_mask`, the ascending array of legal ids: inside a
+DocID span the trie and the exclusion set narrow it, elsewhere the decode
+plan does. The trace parse folds :func:`step`; a decode loop runs a
+:class:`Cursor`, the same automaton updated in place from the table that
+:func:`compile_grammar` builds once per vocabulary size.
 
-Whether the next token is trie-constrained depends on the generated history:
-scanning backward from the end, a close symbol means constraints are off, an
-open symbol means they are on for the tokens that follow it. ``scan_state``
-implements that backward scan literally; ``step_state`` is the incremental
-equivalent with O(1) per-token cost, and the two are kept interchangeable by
-a randomized equivalence suite. The automaton tracks its DocID span with
-``step_state``.
+``scan_state`` finds the DocID span by scanning the history backward;
+``step_state`` is its O(1) incremental equivalent, which ``GrammarState`` uses.
 """
 
 from __future__ import annotations
@@ -25,6 +21,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -198,7 +195,7 @@ _CLOSE = np.array([DOCID_CLOSE], dtype=np.int64)
 
 
 def allowed_mask(
-    state: GrammarState,
+    state: GrammarState | Cursor,
     trie: DocIdTrie,
     excl: ExclusionSet,
     vocab_size: int,
@@ -212,22 +209,32 @@ def allowed_mask(
     and ``<answer>`` after; a spent segment cap forces the closing symbol.
 
     A DocID mask filters the trie node's child array; every other mask comes
-    from :func:`class_ids`, so the array may be shared and read-only.
+    from :func:`class_ids` (a :class:`Cursor` reads it from its table), so
+    the array may be shared and read-only.
     """
+    if isinstance(state, Cursor):
+        if state.at == _DOCID:
+            return _docid_mask(trie, state.prefix, excl)
+        exit_only, full, body_only = state.table[state.at][4:]
+        if state.spent() or (state.at == _LIST and len(trie) == len(excl)):
+            return exit_only
+        return body_only if state.at == _REFS and state.plan.refs is not None else full
     if state.phase is Phase.DOCID:
-        cont = allowed_continuations(trie, state.span.inner_prefix, excl)
-        ids = np.concatenate((_CLOSE, cont.ids)) if cont.close_permitted else cont.ids
-        if not ids.size:
-            raise DeadEndError(
-                f"no continuation from inner prefix {list(state.span.inner_prefix)}"
-            )
-        return ids
+        return _docid_mask(trie, state.span.inner_prefix, excl)
     classes = _MASK_CLASSES[state.phase]
     if _spent(state) or (state.phase is Phase.LIST and len(trie) == len(excl)):
         classes = classes[:1]
     elif state.phase is Phase.REFS and state.plan.refs is not None:
         classes = classes[1:]
     return class_ids(classes, vocab_size)
+
+
+def _docid_mask(trie: DocIdTrie, prefix: Sequence[int], excl: ExclusionSet) -> np.ndarray:
+    cont = allowed_continuations(trie, prefix, excl)
+    ids = np.concatenate((_CLOSE, cont.ids)) if cont.close_permitted else cont.ids
+    if not ids.size:
+        raise DeadEndError(f"no continuation from inner prefix {list(prefix)}")
+    return ids
 
 
 @lru_cache(maxsize=64)
@@ -239,3 +246,75 @@ def class_ids(classes: tuple[range, ...], vocab_size: int) -> np.ndarray:
     ])
     ids.flags.writeable = False
     return ids
+
+
+PHASES = tuple(Phase)  # a phase's number is its index here and in the compiled table
+_LIST, _DOCID, _REFS = map(PHASES.index, (Phase.LIST, Phase.DOCID, Phase.REFS))
+_SILENT = frozenset(map(PHASES.index, SILENT_STOP))
+# the plan field that caps a phase, and the counter it caps: DocIDs 0, references 1, length 2
+_CAPS = {Phase.LIST: ("docids", 0), Phase.REFS: ("refs", 1), Phase.REF: ("ref_tokens", 2),
+         Phase.ANSWER: ("answer_tokens", 2), Phase.CLOSED_BOOK: ("answer_tokens", 2)}
+
+
+@lru_cache(maxsize=8)
+def compile_grammar(vocab_size: int) -> tuple[tuple | None, ...]:
+    """:data:`GRAMMAR` as a table indexed by phase number, with ``None`` at ``DONE``.
+
+    An entry is (exit symbol, the phase after it, the phase after a body token,
+    the counter the phase caps or ``None``, exit-only mask, full mask, body-only mask).
+    """
+    def entry(phase, exit_symbol, after, body):
+        (body_after,) = {next_phase for _, next_phase in body}
+        classes = _MASK_CLASSES[phase]
+        return (exit_symbol, PHASES.index(after), PHASES.index(body_after),
+                _CAPS.get(phase, (None, None))[1],
+                *(class_ids(c, vocab_size) for c in (classes[:1], classes, classes[1:])))
+    return tuple(entry(phase, *GRAMMAR[phase]) if phase in GRAMMAR else None for phase in PHASES)
+
+
+class Cursor:
+    """A :class:`GrammarState` that a decode loop updates in place from the compiled table.
+
+    ``counts`` holds the DocIDs closed, the references closed and the segment
+    length; ``prefix`` and ``node`` are the DocID span's tokens and trie node.
+    """
+
+    __slots__ = ("table", "plan", "caps", "at", "counts", "root", "prefix", "node")
+
+    def __init__(self, state: GrammarState, trie: DocIdTrie, vocab_size: int):
+        self.table, self.plan, self.root = compile_grammar(vocab_size), state.plan, trie.root
+        self.caps = [getattr(state.plan, _CAPS[p][0]) if p in _CAPS else None for p in PHASES]
+        self.at, self.counts = PHASES.index(state.phase), [state.docids, state.refs, state.length]
+        self.prefix = list(state.span.inner_prefix)
+        self.node = trie.node_at(self.prefix)
+
+    phase = property(lambda self: PHASES[self.at])
+
+    def state(self) -> GrammarState:
+        span = scan_state([DOCID_OPEN, *self.prefix] if self.at == _DOCID else [])
+        return GrammarState(self.phase, self.plan, span, *self.counts)
+
+    def spent(self) -> bool:
+        """Whether the plan allows no more of what the current phase repeats."""
+        cap = self.caps[self.at]
+        if cap is not None and self.at == _REFS:  # one reference per listed DocID at most
+            cap = min(cap, self.counts[0])
+        return cap is not None and self.counts[self.table[self.at][3]] >= cap
+
+    def advance(self, token: int) -> bool:
+        """:func:`step` in place, for a token the mask allowed; whether the token is emitted."""
+        at, counts = self.at, self.counts
+        exit_symbol, exit_to, body_to = self.table[at][:3]
+        self.at = nxt = exit_to if token == exit_symbol else body_to
+        if nxt == _DOCID:
+            if at == _DOCID:
+                self.prefix.append(token)
+                self.node = self.node.children[token]
+            else:
+                self.prefix, self.node = [], self.root
+        counts[0] += token == DOCID_CLOSE
+        counts[1] += token == REF_CLOSE
+        counts[2] = counts[2] + 1 if nxt == at else 0
+        if nxt in _SILENT and self.spent():  # the stop this phase's spent cap decides
+            self.at, counts[2] = self.table[nxt][1], 0
+        return token != EOS or at not in _SILENT  # a silent stop is decided, not emitted

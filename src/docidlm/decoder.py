@@ -1,16 +1,17 @@
 """Greedy constrained generation for ranked DocID lists, closed-book answers,
 and the continuous DocIDs-References-Answer pipeline.
 
-Every decode is one greedy loop over the output-grammar automaton of
-:mod:`docidlm.constraints`. A retrieval decode starts from the task-prefixed
-query in the list phase: outside a DocID span only opening a new span or
-stopping is legal; inside a span the trie dictates the continuations, and
-every completed DocID joins the session exclusion set so the list can never
-repeat. The RAG decode keeps going in the same session: the retrieved
-documents are appended to the context, one reference segment is decoded per
-context document, and the answer follows, so the query is processed exactly
-once. A pipeline variant rebuilds the context between retrieval and reading,
-which is what the per-query cost counters are there to compare.
+Every decode is one greedy loop over the output grammar of
+:mod:`docidlm.constraints`, run as a :class:`~docidlm.constraints.Cursor`
+updated in place. A retrieval decode starts from the task-prefixed query in
+the list phase: outside a DocID span only opening a new span or stopping is
+legal; inside a span the trie dictates the continuations, and every completed
+DocID joins the session exclusion set so the list can never repeat. The RAG
+decode keeps going in the same session: the retrieved documents are appended
+to the context, one reference segment is decoded per context document, and
+the answer follows, so the query is processed exactly once. A pipeline
+variant rebuilds the context between retrieval and reading, which is what the
+per-query cost counters are there to compare.
 
 A step whose mask holds one token emits it without a scorer call. Any other
 DocID step scores the scorer's dense vector over the trie mask, because
@@ -26,11 +27,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .constraints import SILENT_STOP, GrammarError, GrammarState, Phase, Plan, allowed_mask, step
+from .constraints import PHASES, Cursor, GrammarError, GrammarState, Phase, Plan, allowed_mask, step
 from .corpus import Corpus, Document
 from .lm import Context, LmScorer, Row, row_scorer
 from .tokens import (ANSWER_OPEN, DOCID_CLOSE, DOCID_OPEN, EOS, SPECIAL_SURFACES, Vocabulary, decode,
@@ -104,9 +106,18 @@ class ParsedTrace:
     answer_tokens: tuple[int, ...]
 
 
+@lru_cache(maxsize=8)
+def _shared_ids(vocab_size: int) -> list[int]:
+    """Every token id as one int object, so a kept trace holds no int objects of its own."""
+    return list(range(vocab_size))
+
+
 def _logsumexp(values: np.ndarray) -> float:
     peak = float(values.max())
     return peak + float(np.log(np.exp(values - peak).sum()))
+
+
+_DOCID, _REF, _ANSWER = map(PHASES.index, (Phase.DOCID, Phase.REF, Phase.ANSWER))
 
 
 class _Session:
@@ -133,18 +144,22 @@ class _Session:
     def run(self, state: GrammarState, until: Phase) -> GrammarState:
         """Decode greedily from ``state`` until the automaton reaches ``until``.
 
-        Reference and answer tokens are recorded as the automaton enters and
-        stays in those phases, so a result needs no parse of its own trace.
+        The automaton runs as a :class:`Cursor` updated in place. Reference
+        and answer tokens are recorded as it enters and stays in those phases,
+        so a result needs no parse of its own trace.
         """
         vocab_size = self.lm.vocab.size
+        cursor = Cursor(state, self.trie, vocab_size)
+        stop = PHASES.index(until)
         span_logprob = 0.0
-        while state.phase is not until:
-            allowed = allowed_mask(state, self.trie, self.excl, vocab_size)
+        while cursor.at != stop:
+            at = cursor.at
+            allowed = allowed_mask(cursor, self.trie, self.excl, vocab_size)
             if len(allowed) == 1:  # forced: the greedy choice, and a span term of exactly 0.0
                 token = int(allowed[0])
             else:
                 self.cost.scorer_calls += 1
-                if state.phase is Phase.DOCID:
+                if at == _DOCID:
                     values = self.lm.next_logprobs(self.context)[allowed]
                     best = int(values.argmax())  # first maximum, ids ascending: lowest-id tie-break
                     token = int(allowed[best])
@@ -153,24 +168,22 @@ class _Session:
                 else:
                     token = _greedy_choice(self.next_row(self.context), allowed)
             if token == DOCID_CLOSE:
-                completed = self.trie.node_at(state.span.inner_prefix).terminal_docid
+                completed = cursor.node.terminal_docid
                 self.excl.add(completed)
                 self.docids.append(completed)
                 self.scores.append(span_logprob)
                 span_logprob = 0.0
-            if token != EOS or state.phase not in SILENT_STOP:
+            if cursor.advance(token):
                 self.ingest([token])
                 self.trace.append(token)
-            nxt = step(state, token)
-            if nxt.phase is Phase.REF:
-                if state.phase is Phase.REF:
+            if cursor.at == _REF:
+                if at == _REF:
                     self.references[-1].append(token)
                 else:
                     self.references.append([])
-            elif nxt.phase is Phase.ANSWER and state.phase is Phase.ANSWER:
+            elif cursor.at == _ANSWER == at:
                 self.answer.append(token)
-            state = nxt
-        return state
+        return cursor.state()
 
     def ranked(self) -> RankedDocIds:
         return RankedDocIds(tuple(self.docids), tuple(self.scores))
@@ -312,7 +325,7 @@ def _generate_rag(
         context_docids=context_docids,
         references=tuple(decode(lm.vocab, span) for span in session.references),
         answer=decode(lm.vocab, session.answer),
-        token_trace=tuple(session.trace),
+        token_trace=tuple(map(_shared_ids(lm.vocab.size).__getitem__, session.trace)),
         decode_cost=session.cost,
         closed_book_fallback=not context_docids,
     )
@@ -362,18 +375,8 @@ def generate_rag_pipeline(
                          max_ref_tokens, max_answer_tokens, rebuild_context=True)
 
 
-def score_sequence(
-    lm: LmScorer,
-    context: Sequence[int],
-    target: Sequence[int],
-    mask_provider: Callable[[Sequence[int]], np.ndarray | None] | None = None,
-) -> float:
-    """Teacher-forced log-probability of ``target`` after ``context``.
-
-    When ``mask_provider`` returns an ascending id array for a position, the
-    token's log-probability is renormalized over those ids, matching what a
-    masked greedy decode reports.
-    """
+def score_sequence(lm: LmScorer, context: Sequence[int], target: Sequence[int]) -> float:
+    """Teacher-forced log-probability of ``target`` after ``context``."""
     if len(target) == 0:
         raise ValueError("target must be non-empty")
     vocab_size = lm.vocab.size
@@ -382,15 +385,7 @@ def score_sequence(
     for token in target:
         if not 0 <= token < vocab_size:
             raise ValueError(f"target token id {token} outside vocabulary of size {vocab_size}")
-        vector = lm.next_logprobs(prefix)
-        logprob = float(vector[token])
-        if mask_provider is not None:
-            allowed = mask_provider(prefix)
-            if allowed is not None:
-                if token not in allowed:
-                    raise ValueError(f"target token {token} not in the provided mask")
-                logprob = float(vector[token]) - _logsumexp(vector[allowed])
-        total += logprob
+        total += float(lm.next_logprobs(prefix)[token])
         prefix.extend([token])
     return total
 

@@ -219,8 +219,8 @@ class NgramLm:
         self._tables = tables
         return self
 
-    def _lookup(self, context: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
-        """The table of the longest seen suffix of ``context``."""
+    def _lookup(self, context: Sequence[int], size: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """The table of the longest seen suffix of ``context``; ``size`` is the vocabulary's."""
         history = context[max(0, len(context) - (self.order - 1)) :]
         tables = self._tables
         if not (tables and len(tables[0][2])):  # no fit, or one on no tokens
@@ -228,7 +228,7 @@ class NgramLm:
         table, group = tables[0], 0
         for c in range(1, len(history) + 1):
             keys = tables[c][0]
-            key = group * self.vocab.size + history[-c]
+            key = group * size + history[-c]
             found = int(keys.searchsorted(key))
             if found == len(keys) or keys[found] != key:
                 break
@@ -242,9 +242,10 @@ class NgramLm:
 
         ``ids`` is a read-only view of the model's table.
         """
-        _check_context(self.vocab.size, context)
-        ids, log_counts, total = self._lookup(context)
-        denom = math.log(total + self.alpha * self.vocab.size)
+        size = self.vocab.size
+        _check_context(size, context)
+        ids, log_counts, total = self._lookup(context, size)
+        denom = math.log(total + self.alpha * size)
         values = log_counts - denom
         # every listed count is at least 1, so only a denominator this large
         # can bring a listed value near the floor (the 1 absorbs rounding)

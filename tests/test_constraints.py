@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from docidlm.constraints import (
+    GRAMMAR,
+    PHASES,
+    SILENT_STOP,
     UNCONSTRAINED,
     ConstraintState,
+    Cursor,
+    DeadEndError,
     GrammarState,
     MalformedSequenceError,
     Mode,
     Phase,
     Plan,
     allowed_mask,
+    compile_grammar,
     scan_state,
     step,
     step_state,
@@ -26,9 +32,10 @@ from docidlm.tokens import (
     UNK,
     build_vocabulary,
 )
+from docidlm import decoder
 from docidlm.trie import ExclusionSet, build_trie, exclude
 
-from conftest import corpus_from_rows
+from conftest import corpus_from_rows, random_corpus, random_instance
 
 Q, A, H, Z = 10, 11, 12, 13  # stand-in ordinary token ids
 
@@ -220,8 +227,6 @@ def test_mask_soundness_exhaustive_rollout():
 
 
 def test_dead_end_error_surfaces_exclusion_bugs():
-    from docidlm.constraints import DeadEndError
-
     corpus = corpus_from_rows([("1", "a", "x", "t.")])
     vocab = build_vocabulary(corpus, [])
     trie = build_trie(corpus, vocab)
@@ -229,3 +234,136 @@ def test_dead_end_error_surfaces_exclusion_bugs():
     # a span forced open despite full exclusion has nowhere to go
     with pytest.raises(DeadEndError):
         allowed_mask(inside_docid([vocab.token_to_id["a"]]), trie, excl, vocab.size)
+
+
+# ---------------------------------------------------------------------------
+# The compiled table and its cursor against the specification
+
+
+def random_plan(rng: random.Random) -> Plan:
+    """Every cap drawn from unbounded, zero and small."""
+    return Plan(*(rng.choice([None, 0, 1, 2, 3]) for _ in range(4)))
+
+
+def random_start(rng: random.Random, trie, phase: Phase) -> GrammarState:
+    """A state in ``phase`` with random counts; inside a DocID span, a random trie path."""
+    span = UNCONSTRAINED
+    if phase is Phase.DOCID:
+        path = trie.docid_paths[rng.choice(sorted(trie.docid_paths))]
+        span = ConstraintState(Mode.INSIDE_DOCID, tuple(path[: rng.randint(0, len(path))]))
+    return GrammarState(phase, random_plan(rng), span, rng.randint(0, 4), rng.randint(0, 4),
+                        rng.randint(0, 4))
+
+
+def walk_cursor(rng: random.Random, trie, excl, vocab_size: int, state: GrammarState,
+                seen: set) -> None:
+    """Walk random mask tokens from ``state``, checking the cursor against ``step`` and
+    ``allowed_mask`` on a ``GrammarState`` at every step; ``seen`` collects the cases met."""
+    cursor = Cursor(state, trie, vocab_size)
+    while True:
+        assert cursor.state() == state and cursor.phase is state.phase
+        if state.phase is Phase.DONE:
+            return
+        if state.phase is Phase.DOCID:
+            assert cursor.node is trie.node_at(state.span.inner_prefix)
+        try:
+            want = allowed_mask(state, trie, excl, vocab_size)
+        except DeadEndError:
+            with pytest.raises(DeadEndError):
+                allowed_mask(cursor, trie, excl, vocab_size)
+            seen.add("dead end")
+            return
+        got = allowed_mask(cursor, trie, excl, vocab_size)
+        assert got.tolist() == want.tolist(), state
+        if state.phase is Phase.LIST and len(excl) == len(trie):
+            seen.add("every DocID excluded")
+        if state.phase is Phase.REFS and state.plan.refs is not None:
+            seen.add(f"forced {want.tolist()}")
+        if len(want) == 1 and state.phase is not Phase.DOCID:
+            seen.add(f"exit only in {state.phase.value}")
+        token = rng.choice(want.tolist())
+        if token == DOCID_CLOSE:
+            excl.add(cursor.node.terminal_docid)
+        emitted = cursor.advance(token)
+        nxt = step(state, token)
+        assert emitted == (token != EOS or state.phase not in SILENT_STOP)
+        exit_symbol, after, body = GRAMMAR[state.phase]
+        if nxt.phase is not (after if token == exit_symbol else body[0][1]):
+            seen.add(f"silent stop after {state.phase.value}")
+        state = nxt
+
+
+def test_cursor_walks_equal_step_and_allowed_mask_from_every_phase():
+    rng = random.Random(53)
+    seen: set = set()
+    for _ in range(40):
+        corpus = random_corpus(rng, rng.randint(1, 8))
+        vocab = build_vocabulary(corpus, [])
+        trie = build_trie(corpus, vocab)
+        for phase in Phase:
+            for _ in range(6):
+                excl = ExclusionSet(trie)
+                doc_ids = sorted(corpus.documents)
+                for doc_id in rng.sample(doc_ids, rng.choice([0, rng.randint(0, len(doc_ids))])):
+                    exclude(excl, doc_id)
+                walk_cursor(rng, trie, excl, vocab.size, random_start(rng, trie, phase), seen)
+    assert seen >= {
+        "every DocID excluded", "dead end", f"forced {[REF_OPEN]}", f"forced {[ANSWER_OPEN]}",
+        "silent stop after docid", "silent stop after closed_book",
+        *(f"exit only in {phase.value}" for phase in (Phase.LIST, Phase.REFS, Phase.REF,
+                                                       Phase.ANSWER, Phase.CLOSED_BOOK)),
+    }, seen
+
+
+def test_compiled_table_is_built_once_per_vocabulary_size():
+    table = compile_grammar(40)
+    assert compile_grammar(40) is table and compile_grammar(41) is not table
+    assert len(table) == len(PHASES) and table[PHASES.index(Phase.DONE)] is None
+    for phase, (exit_symbol, after, body) in GRAMMAR.items():
+        entry = table[PHASES.index(phase)]
+        assert entry[:3] == (exit_symbol, PHASES.index(after), PHASES.index(body[0][1]))
+        assert all(not mask.flags.writeable for mask in entry[4:])
+        assert entry[4].tolist() == [exit_symbol]
+
+
+def fold(state: GrammarState, trace, until: Phase) -> GrammarState:
+    """``step`` folded over a run's emitted tokens; a run that ends short of ``until``
+    ended on a silent stop's unemitted ``</s>``."""
+    for token in trace:
+        state = step(state, token)
+    return state if state.phase is until else step(state, EOS)
+
+
+def test_state_handed_between_runs_is_the_folded_state(monkeypatch):
+    runs = []
+    run = decoder._Session.run
+
+    def recorded(session, state, until):
+        start = len(session.trace)
+        handed = run(session, state, until)
+        runs.append((state, until, handed, session.trace[start:]))
+        return handed
+
+    monkeypatch.setattr(decoder._Session, "run", recorded)
+    rng = random.Random(59)
+    ends = set()
+    for _ in range(30):
+        corpus, vocab, trie, lm, queries = random_instance(rng, rng.randint(1, 10))
+        k_retrieve = rng.randint(1, 5)
+        limits = dict(k_retrieve=k_retrieve, k_context=rng.randint(1, k_retrieve),
+                      max_ref_tokens=rng.choice([0, 1, 3]), max_answer_tokens=rng.choice([0, 1, 3]))
+        for generate in (decoder.generate_rag, decoder.generate_rag_pipeline):
+            runs.clear()
+            result = generate(lm, trie, corpus, rng.choice(queries), **limits)
+            (start, until, handed, listed), (resumed, end, done, read) = runs
+            assert start == GrammarState(Phase.LIST, Plan(*limits.values()))
+            assert (until, end) == (Phase.REFS, Phase.DONE)
+            assert handed == fold(start, listed, Phase.REFS) and resumed is handed
+            assert done == fold(resumed, read, Phase.DONE)
+            assert tuple(listed + read) == result.token_trace
+            ends.add(len(result.docids) == k_retrieve)
+        runs.clear()
+        decoder.generate_closed_book(lm, rng.choice(queries), rng.randint(1, 4))
+        ((start, _, done, answered),) = runs
+        assert done == fold(start, answered, Phase.DONE)
+    assert ends == {True, False}  # lists stopped by their cap and by a decision

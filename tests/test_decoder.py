@@ -45,6 +45,26 @@ def tiny_vocab_of_size(n: int) -> Vocabulary:
     return Vocabulary(tokens=tokens, token_to_id={t: i for i, t in enumerate(tokens)})
 
 
+def masked_score_sequence(lm, context, target, mask_provider) -> float:
+    """Teacher-forced log-probability of ``target``, each token's renormalized over its mask.
+
+    ``mask_provider`` gives the ascending allowed ids for a prefix, or ``None``
+    to leave a position unmasked; this is what a masked greedy decode reports.
+    """
+    prefix, total = list(context), 0.0
+    for token in target:
+        vector = lm.next_logprobs(prefix)
+        logprob = float(vector[token])
+        allowed = mask_provider(prefix)
+        if allowed is not None:
+            assert token in allowed, f"target token {token} not in the provided mask"
+            peak = float(vector[allowed].max())
+            logprob -= peak + float(np.log(np.exp(vector[allowed] - peak).sum()))
+        total += logprob
+        prefix.append(token)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Independent greedy oracle: per-step argmax over a brute-forced allowed set.
 
@@ -174,7 +194,7 @@ class TestDocIdList:
                             break
                 return allowed_mask(GrammarState(Phase.DOCID, span=inner), trie, excl, vocab.size)
 
-            recomputed = score_sequence(lm, context, list(path), mask_provider=provider)
+            recomputed = masked_score_sequence(lm, context, list(path), provider)
             assert reported == pytest.approx(recomputed, abs=1e-9)
             generated += [DOCID_OPEN, *path, DOCID_CLOSE]
 
@@ -230,7 +250,7 @@ class TestScoreSequence:
         target = encode(vocab, queries[1]) or [7]
         full = np.arange(vocab.size)
         unmasked = score_sequence(lm, context, target)
-        masked = score_sequence(lm, context, target, mask_provider=lambda p: full)
+        masked = masked_score_sequence(lm, context, target, lambda p: full)
         assert masked == pytest.approx(unmasked, abs=1e-9)
 
     def test_empty_target_rejected(self):
@@ -299,6 +319,17 @@ class TestRag:
         assert generate(lm, trie, corpus, "q", k_retrieve=2, k_context=1).closed_book_fallback
         with pytest.raises(ValueError, match=rf"^document budget must be >= 1, not {budget}$"):
             generate(lm, trie, corpus, "q", k_retrieve=2, k_context=1, budget=budget)
+
+    def test_kept_traces_share_their_token_objects(self):
+        # ids above 256 are not cached by the interpreter, so each would be its own object
+        corpus = corpus_from_rows([("1", "alpha", "one", "w00301 w00302 w00303. w00304."),
+                                   ("2", "beta", "two", "w00302 w00305 w00306. w00301.")])
+        vocab = build_vocabulary(corpus, ["rag:", " ".join(f"w{i:05d}" for i in range(400))])
+        lm = train_ngram(vocab, [encode(vocab, doc.body) for doc in corpus.documents.values()])
+        first, again = (generate_rag(lm, build_trie(corpus, vocab), corpus, "w00301", k_retrieve=2,
+                                     k_context=2, max_ref_tokens=4) for _ in range(2))
+        assert first.token_trace == again.token_trace and max(first.token_trace) > 256
+        assert all(a is b for a, b in zip(first.token_trace, again.token_trace))
 
     def test_argument_validation(self):
         corpus = corpus_from_rows([("1", "a", "x", "t.")])

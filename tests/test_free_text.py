@@ -495,16 +495,20 @@ def test_free_text_step_allocates_nothing_vocabulary_sized(monkeypatch):
     limits = dict(k_retrieve=2, k_context=2, max_ref_tokens=8, max_answer_tokens=8)
     generate_rag(lm, trie, corpus, "w00001 alpha", **limits)  # builds the shared masks
 
+    # a step runs from one mask call to the next: its transient is read at the next call
     transients: list[tuple[Phase, int]] = []
-    grammar_step = decoder.step
+    phases: list[Phase] = []
+    mask = decoder.allowed_mask
 
-    def measured_step(state, token):
+    def measured_mask(state, *args):
         current, peak = tracemalloc.get_traced_memory()
-        transients.append((state.phase, peak - current))
+        if phases:
+            transients.append((phases[-1], peak - current))
         tracemalloc.reset_peak()
-        return grammar_step(state, token)
+        phases.append(state.phase)
+        return mask(state, *args)
 
-    monkeypatch.setattr(decoder, "step", measured_step)
+    monkeypatch.setattr(decoder, "allowed_mask", measured_mask)
     tracemalloc.start()
     try:
         result = generate_rag(lm, trie, corpus, "w00001 alpha", **limits)

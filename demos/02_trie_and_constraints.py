@@ -20,8 +20,9 @@ DATA = Path(__file__).parent / "data"
 corpus = ingest_corpus(DATA / "corpus.jsonl")
 vocab = build_vocabulary(corpus, [])
 trie = build_trie(corpus, vocab)
+root = allowed_continuations(trie, [], ExclusionSet(trie))
 print(f"trie over {len(trie)} DocIDs; root branches: "
-      f"{sorted(vocab.surface(t) for t in trie.root.children)}\n")
+      f"{sorted(vocab.surface(t) for t in root.tokens)}\n")
 
 def show(prefix_text, excl):
     prefix = encode(vocab, prefix_text)

@@ -214,7 +214,7 @@ def allowed_mask(
     """
     if isinstance(state, Cursor):
         if state.at == _DOCID:
-            return _docid_mask(trie, state.prefix, excl)
+            return _docid_mask(trie, state.prefix, excl, state.node)
         exit_only, full, body_only = state.table[state.at][4:]
         if state.spent() or (state.at == _LIST and len(trie) == len(excl)):
             return exit_only
@@ -229,8 +229,8 @@ def allowed_mask(
     return class_ids(classes, vocab_size)
 
 
-def _docid_mask(trie: DocIdTrie, prefix: Sequence[int], excl: ExclusionSet) -> np.ndarray:
-    cont = allowed_continuations(trie, prefix, excl)
+def _docid_mask(trie: DocIdTrie, prefix: Sequence[int], excl: ExclusionSet, node=None) -> np.ndarray:
+    cont = allowed_continuations(trie, prefix, excl, node=node)
     ids = np.concatenate((_CLOSE, cont.ids)) if cont.close_permitted else cont.ids
     if not ids.size:
         raise DeadEndError(f"no continuation from inner prefix {list(prefix)}")
@@ -276,13 +276,13 @@ class Cursor:
     """A :class:`GrammarState` that a decode loop updates in place from the compiled table.
 
     ``counts`` holds the DocIDs closed, the references closed and the segment
-    length; ``prefix`` and ``node`` are the DocID span's tokens and trie node.
+    length; ``prefix`` and ``node`` are the DocID span's tokens and trie node id.
     """
 
-    __slots__ = ("table", "plan", "caps", "at", "counts", "root", "prefix", "node")
+    __slots__ = ("table", "plan", "caps", "at", "counts", "child", "prefix", "node")
 
     def __init__(self, state: GrammarState, trie: DocIdTrie, vocab_size: int):
-        self.table, self.plan, self.root = compile_grammar(vocab_size), state.plan, trie.root
+        self.table, self.plan, self.child = compile_grammar(vocab_size), state.plan, trie.child
         self.caps = [getattr(state.plan, _CAPS[p][0]) if p in _CAPS else None for p in PHASES]
         self.at, self.counts = PHASES.index(state.phase), [state.docids, state.refs, state.length]
         self.prefix = list(state.span.inner_prefix)
@@ -309,9 +309,9 @@ class Cursor:
         if nxt == _DOCID:
             if at == _DOCID:
                 self.prefix.append(token)
-                self.node = self.node.children[token]
+                self.node = self.child(self.node, token)
             else:
-                self.prefix, self.node = [], self.root
+                self.prefix, self.node = [], 0
         counts[0] += token == DOCID_CLOSE
         counts[1] += token == REF_CLOSE
         counts[2] = counts[2] + 1 if nxt == at else 0

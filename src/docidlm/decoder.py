@@ -168,9 +168,8 @@ class _Session:
                 else:
                     token = _greedy_choice(self.next_row(self.context), allowed)
             if token == DOCID_CLOSE:
-                completed = cursor.node.terminal_docid
-                self.excl.add(completed)
-                self.docids.append(completed)
+                self.docids.append(self.trie.docid_at(cursor.node))
+                self.excl.add(self.docids[-1], cursor.node)
                 self.scores.append(span_logprob)
                 span_logprob = 0.0
             if cursor.advance(token):
@@ -376,16 +375,17 @@ def generate_rag_pipeline(
 
 
 def score_sequence(lm: LmScorer, context: Sequence[int], target: Sequence[int]) -> float:
-    """Teacher-forced log-probability of ``target`` after ``context``."""
+    """Teacher-forced log-probability of ``target`` after ``context``, read from scorer rows."""
     if len(target) == 0:
         raise ValueError("target must be non-empty")
-    vocab_size = lm.vocab.size
-    prefix = Context(vocab_size, context)
-    total = 0.0
+    vocab_size, next_row = lm.vocab.size, row_scorer(lm)
+    prefix, total = Context(vocab_size, context), 0.0
     for token in target:
         if not 0 <= token < vocab_size:
             raise ValueError(f"target token id {token} outside vocabulary of size {vocab_size}")
-        total += float(lm.next_logprobs(prefix)[token])
+        fill, ids, values = next_row(prefix)
+        at = int(ids.searchsorted(token))
+        total += float(values[at]) if at < len(ids) and ids[at] == token else fill
         prefix.extend([token])
     return total
 

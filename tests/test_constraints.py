@@ -265,7 +265,7 @@ def walk_cursor(rng: random.Random, trie, excl, vocab_size: int, state: GrammarS
         if state.phase is Phase.DONE:
             return
         if state.phase is Phase.DOCID:
-            assert cursor.node is trie.node_at(state.span.inner_prefix)
+            assert cursor.node == trie.node_at(state.span.inner_prefix)
         try:
             want = allowed_mask(state, trie, excl, vocab_size)
         except DeadEndError:
@@ -283,7 +283,7 @@ def walk_cursor(rng: random.Random, trie, excl, vocab_size: int, state: GrammarS
             seen.add(f"exit only in {state.phase.value}")
         token = rng.choice(want.tolist())
         if token == DOCID_CLOSE:
-            excl.add(cursor.node.terminal_docid)
+            excl.add(trie.docid_at(cursor.node))
         emitted = cursor.advance(token)
         nxt = step(state, token)
         assert emitted == (token != EOS or state.phase not in SILENT_STOP)

@@ -253,6 +253,24 @@ class TestScoreSequence:
         masked = masked_score_sequence(lm, context, target, lambda p: full)
         assert masked == pytest.approx(unmasked, abs=1e-9)
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, None])  # None: the dense-only UniformLm
+    def test_equals_summed_dense_lookups(self, order):
+        rng = random.Random(order or 0)
+        vocab = tiny_vocab_of_size(40)
+        ordinary = range(len(SPECIAL_IDS), vocab.size)
+        texts = [rng.choices(ordinary, k=rng.randint(1, 30)) for _ in range(20)]
+        lm = UniformLm(vocab) if order is None else train_ngram(vocab, texts, order=order)
+        for _ in range(30):
+            # seen texts hit listed entries, random ids the fill
+            source = rng.choice(texts) if rng.random() < 0.5 else rng.choices(range(vocab.size), k=20)
+            cut = rng.randint(0, len(source) - 1)
+            context, target = source[:cut], source[cut:]
+            expected, prefix = 0.0, list(context)
+            for token in target:
+                expected += float(lm.next_logprobs(prefix)[token])
+                prefix.append(token)
+            assert score_sequence(lm, context, target) == expected
+
     def test_empty_target_rejected(self):
         lm = UniformLm(tiny_vocab_of_size(3))
         with pytest.raises(ValueError):

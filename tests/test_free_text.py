@@ -185,7 +185,7 @@ def oracle_rag_decode(lm, trie, corpus, query, k_retrieve, k_context, budget,
             token = int(allowed[best])
             if state.phase is Phase.DOCID:
                 if token == DOCID_CLOSE:
-                    completed = trie.node_at(state.span.inner_prefix).terminal_docid
+                    completed = trie.docid_at(trie.node_at(state.span.inner_prefix))
                     excl.add(completed)
                     docids.append(completed)
                     scores.append(span_logprob)
@@ -408,7 +408,7 @@ def oracle_span_scores(lm, trie, prompt, trace) -> list[float]:
         if token == DOCID_OPEN:
             span_logprob = 0.0
         elif token == DOCID_CLOSE:
-            excl.add(trie.node_at(state.span.inner_prefix).terminal_docid)
+            excl.add(trie.docid_at(trie.node_at(state.span.inner_prefix)))
             scores.append(span_logprob)
         else:
             allowed = allowed_mask(state, trie, excl, vocab_size)

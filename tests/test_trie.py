@@ -1,13 +1,16 @@
+import importlib
 import json
 import random
 import re
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from docidlm.cli import main
-from docidlm.corpus import UnknownDocIdError, ingest_corpus
+from docidlm.corpus import UnknownDocIdError, build_corpus, ingest_corpus, make_document
 from docidlm.tokens import build_vocabulary, encode, load_vocabulary
 from docidlm.trie import (
     DocIdTrie,
@@ -24,12 +27,32 @@ from docidlm.trie import (
 from conftest import corpus_from_rows, random_corpus
 
 
-def recursive_snapshot_lines(node, depth=0):
-    """The recursive preorder walk that the snapshot's explicit stack replaced."""
-    for token in node.child_ids.tolist():
-        child = node.children[token]
-        yield f"{depth}\t{token}\t{int(child.is_terminal)}\n"
-        yield from recursive_snapshot_lines(child, depth + 1)
+def recursive_snapshot_lines(trie, prefix=()):
+    """The snapshot by a recursive preorder walk over the DocIDs' token paths alone."""
+    paths, depth = set(trie.docid_paths.values()), len(prefix)
+    below = [path for path in paths if len(path) > depth and path[:depth] == prefix]
+    for token in sorted({path[depth] for path in below}):
+        child = prefix + (token,)
+        yield f"{depth}\t{token}\t{int(child in paths)}\n"
+        yield from recursive_snapshot_lines(trie, child)
+
+
+def spells_docid(trie, tokens) -> bool:
+    """Whether ``tokens`` is exactly the path of a DocID in the trie."""
+    return tuple(tokens) in set(trie.docid_paths.values())
+
+
+def excluded_docids(trie, excl) -> list[str]:
+    return [doc_id for doc_id in trie.docid_paths if doc_id in excl]
+
+
+def child_tokens(trie, node) -> list[int]:
+    return trie.child_tokens[trie.offsets[node]:trie.offsets[node + 1]].tolist()
+
+
+def node_prefixes(trie) -> list[tuple[int, ...]]:
+    """Every node's prefix, derived from the DocIDs' paths, in preorder (the root first)."""
+    return sorted({path[:i] for path in trie.docid_paths.values() for i in range(len(path) + 1)})
 
 
 def two_doc_setup():
@@ -48,20 +71,20 @@ class TestBuild:
         a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
         hash_ = vocab.token_to_id["#"]
         x, y = vocab.token_to_id["x"], vocab.token_to_id["y"]
-        assert set(trie.root.children) == {a, b}
-        assert set(trie.node_at([a, hash_]).children) == {x, y}
+        assert child_tokens(trie, 0) == sorted([a, b])
+        assert child_tokens(trie, trie.node_at([a, hash_])) == sorted([x, y])
         assert len(trie) == 3
 
     def test_single_document_single_path(self):
         corpus = corpus_from_rows([("1", "only", "sec", "t.")])
         vocab = build_vocabulary(corpus, [])
         trie = build_trie(corpus, vocab)
-        node, path = trie.root, []
-        while node.children:
-            assert len(node.children) == 1
-            token, node = next(iter(node.children.items()))
+        node, path = 0, []
+        while child_tokens(trie, node):
+            (token,) = child_tokens(trie, node)
+            node = trie.child(node, token)
             path.append(token)
-        assert node.is_terminal
+        assert trie.docid_at(node) == "only # sec"
         assert path == encode(vocab, "only # sec")
 
     def test_empty_corpus_empty_trie(self):
@@ -74,15 +97,22 @@ class TestBuild:
 
     def test_contains_exactly_corpus_docids(self, tiny_corpus, tiny_vocab, tiny_trie):
         for doc_id in tiny_corpus.documents:
-            assert tiny_trie.contains(encode(tiny_vocab, doc_id))
-        assert not tiny_trie.contains(encode(tiny_vocab, "a # q"))
-        assert not tiny_trie.contains(encode(tiny_vocab, "a"))
+            assert spells_docid(tiny_trie, encode(tiny_vocab, doc_id))
+        assert not spells_docid(tiny_trie, encode(tiny_vocab, "a # q"))
+        assert not spells_docid(tiny_trie, encode(tiny_vocab, "a"))
 
     def test_token_path_collision_rejected(self):
         # case-insensitive tokenizer folds these two distinct DocIDs together
         corpus = corpus_from_rows([("1", "Ab", "x", "t."), ("2", "aB", "x", "t.")])
         vocab = build_vocabulary(corpus, [])
-        with pytest.raises(TrieError):
+        with pytest.raises(TrieError, match="^DocIDs 'Ab # x' and 'aB # x' share one token path"):
+            build_trie(corpus, vocab)
+
+    def test_token_outside_the_vocabulary_rejected(self):
+        # a vocabulary built from another corpus has no id for "b"
+        vocab = build_vocabulary(corpus_from_rows([("1", "a", "x", "t.")]), [])
+        corpus = corpus_from_rows([("1", "a", "x", "t."), ("2", "b", "x", "t.")])
+        with pytest.raises(TrieError, match="^DocID 'b # x' has a token outside the vocabulary$"):
             build_trie(corpus, vocab)
 
     def test_subtree_counts_match_terminals(self):
@@ -91,12 +121,15 @@ class TestBuild:
         vocab = build_vocabulary(corpus, [])
         trie = build_trie(corpus, vocab)
 
-        def audit(node):
-            total = int(node.is_terminal) + sum(audit(c) for c in node.children.values())
-            assert node.subtree_count == total
-            return total
-
-        assert audit(trie.root) == 40
+        paths = {path: doc_id for doc_id, path in trie.docid_paths.items()}
+        prefixes = node_prefixes(trie)
+        assert [trie.node_at(prefix) for prefix in prefixes] == list(range(len(prefixes)))
+        for node, prefix in enumerate(prefixes):
+            below = [path for path in paths if path[:len(prefix)] == prefix]
+            assert trie.subtree[node] == len(below)
+            assert child_tokens(trie, node) == sorted({p[len(prefix)] for p in below if p != prefix})
+            assert trie.docid_at(node) == paths.get(prefix)
+        assert len(trie) == 40
 
 
 class TestContinuations:
@@ -160,7 +193,7 @@ def spellable_docids(trie: DocIdTrie, excl: ExclusionSet) -> set[str]:
     def walk(prefix: tuple[int, ...]):
         cont = allowed_continuations(trie, prefix, excl)
         if cont.close_permitted:
-            found.add(trie.node_at(prefix).terminal_docid)
+            found.add(trie.docid_at(trie.node_at(prefix)))
         for token in cont.tokens:
             walk(prefix + (token,))
 
@@ -201,25 +234,11 @@ class TestExclusionEquivalence:
 
 
 def oracle_allowed_continuations(trie, prefix, excl):
-    """The per-child scan the array query replaced: (ascending tokens, close flag)."""
-    prefix = tuple(prefix)
-    node = trie.node_at(prefix)
-    paths = [trie.docid_paths[doc_id] for doc_id in excl.docids]
-
-    def excluded_under(prefix_len, path_prefix):
-        count = 0
-        for path in paths:
-            if len(path) >= prefix_len and path[:prefix_len] == path_prefix:
-                count += 1
-        return count
-
-    allowed = []
-    for token, child in node.children.items():
-        child_prefix = prefix + (token,)
-        if child.subtree_count > excluded_under(len(child_prefix), child_prefix):
-            allowed.append(token)
-    close_ok = node.is_terminal and node.terminal_docid not in excl
-    return sorted(allowed), close_ok
+    """(ascending tokens, close flag) from the paths of the DocIDs not excluded."""
+    prefix, excluded = tuple(prefix), set(excluded_docids(trie, excl))
+    left = [path for doc_id, path in trie.docid_paths.items() if doc_id not in excluded]
+    below = [path[len(prefix):] for path in left if path[:len(prefix)] == prefix]
+    return sorted({rest[0] for rest in below if rest}), () in below
 
 
 def assert_matches_oracle(trie, prefix, excl):
@@ -298,16 +317,55 @@ class TestArrayContinuationsMatchOracle:
             assert_matches_oracle(trie, random_prefix(rng, trie), excl)
 
 
-def all_node_prefixes(trie):
-    found = []
+@pytest.fixture(scope="module")
+def corpusgen_corpus():
+    """A 3,000-DocID benchmark corpus: sectioned titles, many sharing their first word."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        corpusgen = importlib.import_module("corpusgen")
+    records, _ = corpusgen.generate(corpusgen.CorpusShape(3000, 4, 1, 200, 1200), seed=3)
+    return build_corpus([make_document(r["id"], r["title"], r["section"], r["text"])
+                         for r in records])
 
-    def walk(node, prefix):
-        found.append(prefix)
-        for token, child in node.children.items():
-            walk(child, prefix + (token,))
 
-    walk(trie.root, ())
-    return found
+class TestAtBenchmarkScale:
+    def test_oracle_under_random_exclusion_orders(self, corpusgen_corpus):
+        corpus = corpusgen_corpus
+        trie = build_trie(corpus, build_vocabulary(corpus, []))
+        assert len(trie) == 3000
+        by_title: dict[str, list[str]] = {}
+        for doc_id in corpus.documents:
+            by_title.setdefault(doc_id.split(" # ")[0], []).append(doc_id)
+        rng = random.Random(67)
+        for _ in range(2):
+            # whole titles die as well as single DocIDs, so dead tokens appear at every depth
+            doomed = [d for title in rng.sample(sorted(by_title), 6) for d in by_title[title]]
+            order = doomed + rng.sample(sorted(set(corpus.documents) - set(doomed)), 120)
+            rng.shuffle(order)
+            walked, given = ExclusionSet(trie), ExclusionSet(trie)
+            for doc_id in order:
+                path = trie.docid_paths[doc_id]
+                exclude(walked, doc_id)
+                given.add(doc_id, trie.node_at(path))  # as the decoder does, from the end node
+                for prefix in [(), path[:rng.randint(0, len(path))], random_prefix(rng, trie)]:
+                    assert_matches_oracle(trie, prefix, walked)
+                    want = allowed_continuations(trie, prefix, walked)
+                    got = allowed_continuations(trie, prefix, given, node=trie.node_at(prefix))
+                    assert got.ids.tolist() == want.ids.tolist()
+                    assert got.close_permitted == want.close_permitted
+
+    def test_trie_retains_at_most_96_bytes_per_node(self, corpusgen_corpus):
+        vocab = build_vocabulary(corpusgen_corpus, [])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trie = build_trie(corpusgen_corpus, vocab)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        nodes = len(node_prefixes(trie))
+        assert nodes == len(trie.child_tokens) + 1
+        assert retained / nodes <= 96
 
 
 class TestIdempotentExclusion:
@@ -323,7 +381,7 @@ class TestIdempotentExclusion:
             corpus = random_corpus(rng, rng.randint(2, 40))
             vocab = build_vocabulary(corpus, [])
             trie = build_trie(corpus, vocab)
-            prefixes = all_node_prefixes(trie)
+            prefixes = node_prefixes(trie)
             excl = ExclusionSet(trie)
             for doc_id in rng.sample(sorted(corpus.documents), len(corpus.documents) // 2):
                 exclude(excl, doc_id)
@@ -355,7 +413,7 @@ class TestSnapshot:
         vocab = build_vocabulary(corpus, [])
         trie = build_trie(corpus, vocab)
         dump_trie(trie, tmp_path / "trie.txt")
-        expected = "".join(recursive_snapshot_lines(trie.root))
+        expected = "".join(recursive_snapshot_lines(trie))
         prefixes = {path[:i] for path in trie.docid_paths.values() for i in range(1, len(path) + 1)}
         assert expected.count("\n") == len(prefixes)
         assert (tmp_path / "trie.txt").read_text(encoding="utf-8") == expected

@@ -17,7 +17,9 @@ A step whose mask holds one token emits it without a scorer call. Any other
 DocID step scores the scorer's dense vector over the trie mask, because
 the span score renormalizes over it. Every other step takes its token from
 the scorer's sparse row (:func:`docidlm.lm.row_scorer`) and the mask's one
-run of ids, so its cost follows the row's length, not the vocabulary's.
+run of ids, so its cost follows the row's length, not the vocabulary's. If
+the run holds the row's first maximum, above the fill, it is the choice: no
+listed id is higher, ties have higher ids and unlisted ids take the lower fill.
 
 Ties in the greedy argmax always break toward the lowest token id, which
 makes every decode reproducible.
@@ -60,7 +62,7 @@ class DecodeError(RuntimeError):
     """Decoding could not proceed (empty trie, bad arguments)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class DecodeCost:
     """Scorer calls made and tokens fed into decoder contexts.
 
@@ -77,7 +79,7 @@ class DecodeCost:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedDocIds:
     """Ordered DocIDs with the summed log-probability of each identifier span."""
 
@@ -88,7 +90,7 @@ class RankedDocIds:
         return len(self.docids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RagResult:
     docids: RankedDocIds
     context_docids: tuple[str, ...]
@@ -99,7 +101,7 @@ class RagResult:
     closed_book_fallback: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedTrace:
     docid_spans: tuple[tuple[int, ...], ...]
     reference_spans: tuple[tuple[int, ...], ...]
@@ -173,7 +175,8 @@ class _Session:
                 self.scores.append(span_logprob)
                 span_logprob = 0.0
             if cursor.advance(token):
-                self.ingest([token])
+                self.context.append(token)
+                self.cost.context_tokens += 1
                 self.trace.append(token)
             if cursor.at == _REF:
                 if at == _REF:
@@ -192,17 +195,23 @@ def _greedy_choice(row: Row, allowed: np.ndarray) -> int:
     """The lowest-id argmax of ``expand_row(row, V)[allowed]``, with no vocabulary-sized array.
 
     ``allowed`` is ascending: a few lone ids, then one run of consecutive ids
-    ``lo..hi``, so a row id's place in the run is ``id - lo``. The candidates
-    are the first maximum among the listed ids of the run, the lowest id of
-    the run the row does not list (it takes the fill value), and each lone id.
+    ``lo..hi``, so a row id's place in the run is ``id - lo``. The row's first
+    maximum is the choice if the run holds it above the fill; else candidates
+    are the first listed maximum of the run, the run's lowest unlisted id (it
+    takes the fill value), and each lone id.
     """
+    fill, ids, values = row
     hi = int(allowed[-1])
     offset = hi - len(allowed) + 1  # allowed[i] - i along the run
+    if len(ids):
+        best = values.argmax()
+        token = int(ids[best])
+        if offset <= token <= hi and values[best] > fill and allowed[token - offset] == token:
+            return token
     lone = 0
     while allowed[lone] - lone != offset:
         lone += 1
     lo = offset + lone
-    fill, ids, values = row
     start, stop = ids.searchsorted((lo, hi + 1)).tolist()
     candidates = []
     if start < stop:
@@ -386,7 +395,7 @@ def score_sequence(lm: LmScorer, context: Sequence[int], target: Sequence[int]) 
         fill, ids, values = next_row(prefix)
         at = int(ids.searchsorted(token))
         total += float(values[at]) if at < len(ids) and ids[at] == token else fill
-        prefix.extend([token])
+        prefix.append(token)
     return total
 
 

@@ -11,6 +11,7 @@ vector as a row that lists every id.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import http.client
 import io
@@ -111,6 +112,12 @@ class Context(Sequence[int]):
         _check_tokens(self.vocab_size, tokens)
         self._tokens.extend(tokens)
 
+    def append(self, token: int) -> None:
+        """Append one token; if it is out of range, raise and append nothing."""
+        if not 0 <= token < self.vocab_size:
+            _check_tokens(self.vocab_size, [token])
+        self._tokens.append(token)
+
     def __len__(self) -> int:
         return len(self._tokens)
 
@@ -163,7 +170,10 @@ class NgramLm:
         # token, so a context is found from its last token backwards. Group
         # g's next-token ids are ids[starts[g]:starts[g + 1]], with
         # log(count + alpha) in log_counts, and totals[g] counts them all.
+        # Lookups read each table as _views holds it: keys, starts and totals
+        # as zero-copy memoryviews, which give Python ints, not numpy scalars.
         self._tables: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        self._views: list[tuple] = []
 
     def fit(self, texts: Sequence[Sequence[int]]) -> "NgramLm":
         """Count every (context, next token) pair; replaces any earlier fit.
@@ -217,25 +227,26 @@ class NgramLm:
             tables.append((keys, starts, np.add.reduceat(counts, starts[:-1]), pairs,
                            np.log(counts + self.alpha)))
         self._tables = tables
+        self._views = [(*map(memoryview, table[:3]), *table[3:]) for table in tables]
         return self
 
     def _lookup(self, context: Sequence[int], size: int) -> tuple[np.ndarray, np.ndarray, int]:
         """The table of the longest seen suffix of ``context``; ``size`` is the vocabulary's."""
         history = context[max(0, len(context) - (self.order - 1)) :]
-        tables = self._tables
-        if not (tables and len(tables[0][2])):  # no fit, or one on no tokens
+        views = self._views
+        if not (views and len(views[0][2])):  # no fit, or one on no tokens
             return np.empty(0, dtype=np.int64), np.empty(0), 0
-        table, group = tables[0], 0
+        table, group = views[0], 0
         for c in range(1, len(history) + 1):
-            keys = tables[c][0]
+            keys = views[c][0]
             key = group * size + history[-c]
-            found = int(keys.searchsorted(key))
+            found = bisect.bisect_left(keys, key)
             if found == len(keys) or keys[found] != key:
                 break
-            table, group = tables[c], found
+            table, group = views[c], found
         _, starts, totals, ids, log_counts = table
         lo, hi = starts[group], starts[group + 1]
-        return ids[lo:hi], log_counts[lo:hi], int(totals[group])
+        return ids[lo:hi], log_counts[lo:hi], totals[group]
 
     def next_row(self, context: Sequence[int]) -> Row:
         """The backoff value and the explicit entries of the longest seen suffix of ``context``.

@@ -74,3 +74,40 @@ def test_traced_decodes_make_one_mask_call_per_step(monkeypatch, tracing, scorer
         assert totals[tracing.MASK].count == masks
         assert totals[tracing.CONTINUATIONS].count == continuations > 0
         assert len(tracer.costs) == len(RecordingSession.made) == 4
+
+
+@pytest.mark.parametrize("scorer", ["ngram", "uniform"])
+def test_proxied_scorer_is_asked_once_per_scored_docid_step(tracing, scorer):
+    """The bench's ``tokens_sent`` sums ``ScorerProxy``'s spans. An n-gram scorer's rows are
+    read past the proxy, so it sees one call per scored DocID step and none per free-text
+    step; a dense scorer's row is its vector, so it sees one call per scored step."""
+    rng = random.Random(f"proxy {scorer}")
+    scored = set()
+    for _ in range(8):
+        corpus, vocab, trie, lm, queries = random_instance(rng, rng.randint(1, 12))
+        if scorer == "uniform":
+            lm = UniformLm(vocab)
+        query, k = rng.choice(queries), rng.randint(1, 5)
+        tracer = tracing.Tracer()
+        proxy = tracing.ScorerProxy(lm, tracer)
+        with tracer.installed():
+            generate_docid_list(proxy, trie, query, k)
+            for generate in (generate_rag, generate_rag_pipeline):
+                generate(proxy, trie, corpus, query, k_retrieve=k, k_context=rng.randint(1, k),
+                         max_ref_tokens=rng.randint(0, 4), max_answer_tokens=rng.randint(0, 4))
+            generate_closed_book(proxy, query, rng.randint(1, 5))
+        steps = []  # per mask call: [inside a DocID span, mask size, scorer calls]
+        for name, _, _, _, _, size in tracer.spans:
+            if name == tracing.MASK:
+                steps.append([False, size, 0])
+            elif name == tracing.CONTINUATIONS:
+                steps[-1][0] = True
+            elif name == tracing.SCORER:
+                steps[-1][2] += 1
+        for in_docid, size, calls in steps:
+            if size > 1:
+                scored.add(in_docid)
+            assert calls == (size > 1 and (in_docid or scorer == "uniform")), (in_docid, size)
+        # the walk found every step the decoder counted as scored
+        assert sum(size > 1 for _, size, _ in steps) == sum(cost.scorer_calls for cost in tracer.costs)
+    assert scored == {False, True}

@@ -380,17 +380,22 @@ class TestRag:
 
 def test_each_context_token_is_range_checked_once(monkeypatch):
     checked, costs = [], []
-    check = lm_module._check_tokens
+    check, append = lm_module._check_tokens, lm_module.Context.append
 
     def counting_check(vocab_size, tokens):
         checked.append(len(tokens))
         check(vocab_size, tokens)
+
+    def counting_append(context, token):  # its own one-token check
+        checked.append(1)
+        append(context, token)
 
     def recorded_cost():
         costs.append(DecodeCost())
         return costs[-1]
 
     monkeypatch.setattr(lm_module, "_check_tokens", counting_check)
+    monkeypatch.setattr(lm_module.Context, "append", counting_append)
     monkeypatch.setattr(decoder, "DecodeCost", recorded_cost)
     corpus, vocab, trie, lm, queries = random_instance(random.Random(97), 12)
     for generate in (generate_rag, generate_rag_pipeline, generate_docid_list):

@@ -24,7 +24,7 @@ from docidlm.decoder import (
     render_document_tokens,
 )
 from docidlm.lm import LOG_FLOOR, Context, NgramLm, Row, UniformLm, expand_row, row_scorer
-from docidlm.tokens import DOCID_CLOSE, DOCID_OPEN, EOS, build_vocabulary, decode, encode
+from docidlm.tokens import DOCID_CLOSE, DOCID_OPEN, EOS, SPECIAL_IDS, build_vocabulary, decode, encode
 from docidlm.training import (
     build_reference_lm,
     extract_reference,
@@ -68,9 +68,17 @@ def free_text_masks(trie: DocIdTrie, vocab_size: int):
 
 
 def random_row(rng: random.Random, vocab_size: int) -> Row:
-    """Rows with ties among listed values, at the fill and at ``LOG_FLOOR``."""
+    """Rows with ties among listed values, at the fill and at ``LOG_FLOOR``; some are
+    clamped at the floor throughout, some are a dense scorer's (every id, fill ``-inf``)."""
     fill = rng.choice([LOG_FLOOR, -3.0, -math.log(vocab_size), rng.uniform(-9, -1)])
-    shape = rng.choice(["empty", "every id", "from unk on", "dense", "sparse", "sparse"])
+    shape = rng.choice(["empty", "every id", "from unk on", "dense", "sparse", "sparse",
+                        "floor", "dense scorer"])
+    if shape == "floor":  # a total so large that every value, the fill too, is clamped
+        ids = [t for t in range(vocab_size) if rng.random() < 0.5]
+        return LOG_FLOOR, np.array(ids, dtype=np.int64), np.full(len(ids), LOG_FLOOR)
+    if shape == "dense scorer":
+        values = [rng.choice([LOG_FLOOR, -1.0, -2.0, rng.uniform(-9, 0)]) for _ in range(vocab_size)]
+        return -math.inf, np.arange(vocab_size, dtype=np.int64), np.array(values)
     if shape == "empty":
         ids = []
     elif shape == "every id":
@@ -85,6 +93,37 @@ def random_row(rng: random.Random, vocab_size: int) -> Row:
     return fill, np.array(ids, dtype=np.int64), np.array(values)
 
 
+def with_first_maximum(rng: random.Random, row: Row, allowed: np.ndarray) -> tuple[str, Row]:
+    """``row`` with its first maximum moved: to an allowed id or to a structural id outside
+    the mask, above every value and the fill, or down to the fill; or ``row`` as it is."""
+    fill, ids, values = row
+    outside = sorted(set(SPECIAL_IDS) - set(allowed.tolist()))
+    kinds = ["as drawn", "allowed"] + ["structural outside"] * bool(outside)
+    kinds += ["at or under the fill"] * (len(ids) and fill > -math.inf)
+    kind = rng.choice(kinds)
+    if kind == "at or under the fill":
+        return kind, (fill, ids, np.minimum(values, fill - rng.choice([0.0, 0.0, 0.5])))
+    if kind == "as drawn":
+        return kind, row
+    top = rng.choice(allowed.tolist() if kind == "allowed" else outside)
+    entries = dict(zip(ids.tolist(), values.tolist()))
+    entries[top] = max([fill, *entries.values()]) + rng.choice([1e-9, 0.5])
+    for tied in rng.sample(sorted(entries), min(2, len(entries))):  # ties above it lose
+        if tied > top:
+            entries[tied] = entries[top]
+    listed = sorted(entries)
+    return kind, (fill, np.array(listed, dtype=np.int64), np.array([entries[t] for t in listed]))
+
+
+def takes_first_maximum(row: Row, allowed: np.ndarray) -> bool:
+    """Whether the row's first maximum beats the fill and lies in the mask's run of ids."""
+    fill, ids, values = row
+    start = len(allowed) - 1
+    while start and allowed[start - 1] == allowed[start] - 1:
+        start -= 1
+    return bool(len(ids)) and values.max() > fill and ids[values.argmax()] in allowed[start:]
+
+
 def oracle_choice(row: Row, allowed: np.ndarray, vocab_size: int) -> int:
     vector = expand_row(row, vocab_size)
     return min(allowed.tolist(), key=lambda t: (-vector[t], t))
@@ -95,15 +134,21 @@ class TestGreedyChoice:
     def test_matches_lowest_id_argmax_on_every_free_text_mask(self, seed):
         rng = random.Random(seed)
         _, _, trie, _, _ = random_instance(rng, 5)
-        seen = set()
+        seen, branches, kinds = set(), set(), set()
         for _ in range(150):
             vocab_size = rng.choice([7, 8, 9, 12, 20, 64])
-            row = random_row(rng, vocab_size)
+            drawn = random_row(rng, vocab_size)
             for name, allowed in free_text_masks(trie, vocab_size).items():
+                kind, row = with_first_maximum(rng, drawn, allowed)
                 expected = oracle_choice(row, allowed, vocab_size)
-                assert decoder._greedy_choice(row, allowed) == expected, (name, row, allowed)
+                assert decoder._greedy_choice(row, allowed) == expected, (name, kind, row, allowed)
                 seen.add(name)
+                branches.add((name, takes_first_maximum(row, allowed)))
+                kinds.add(kind)
         assert len(seen) == 12
+        # every mask is decided both by the row's first maximum and by the run/lone search
+        assert branches == {(name, taken) for name in seen for taken in (False, True)}
+        assert len(kinds) == 4
 
     def test_dense_scorer_reads_its_vector_as_a_full_row(self):
         rng = random.Random(5)

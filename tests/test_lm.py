@@ -79,6 +79,16 @@ class TestContextCheck:
         with pytest.raises(ValueError, match=message):
             Context(7, context)
 
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_context_append_rejects_an_out_of_range_id(self, bad):
+        checked = Context(7, [0, 6])
+        with pytest.raises(ValueError, match=f"^context token id {bad} outside vocabulary of size 7$"):
+            checked.append(bad)
+        assert list(checked) == [0, 6]  # nothing appended
+        checked.append(0)
+        checked.append(6)
+        assert list(checked) == [0, 6, 0, 6]
+
     @pytest.mark.parametrize("as_array", [False, True])
     def test_in_range_contexts_pass(self, as_array):
         lm = UniformLm(small_vocab(0))
@@ -217,6 +227,34 @@ def oracle_fit(vocab, texts, order, alpha=0.1):
     return next_logprobs
 
 
+def numpy_lookup(lm: NgramLm, context, size: int):
+    """``NgramLm._lookup`` as it was with numpy reads: ``searchsorted`` and numpy scalars."""
+    history = context[max(0, len(context) - (lm.order - 1)) :]
+    tables = lm._tables
+    if not (tables and len(tables[0][2])):
+        return np.empty(0, dtype=np.int64), np.empty(0), 0
+    table, group = tables[0], 0
+    for c in range(1, len(history) + 1):
+        keys = tables[c][0]
+        key = group * size + history[-c]
+        found = int(keys.searchsorted(key))
+        if found == len(keys) or keys[found] != key:
+            break
+        table, group = tables[c], found
+    _, starts, totals, ids, log_counts = table
+    lo, hi = starts[group], starts[group + 1]
+    return ids[lo:hi], log_counts[lo:hi], int(totals[group])
+
+
+def assert_lookup_is_the_numpy_lookup(lm: NgramLm, context) -> None:
+    ids, log_counts, total = lm._lookup(context, lm.vocab.size)
+    expected_ids, expected_log_counts, expected_total = numpy_lookup(lm, context, lm.vocab.size)
+    assert (ids.dtype, ids.tobytes()) == (expected_ids.dtype, expected_ids.tobytes())
+    assert (log_counts.dtype, log_counts.tobytes()) == \
+        (expected_log_counts.dtype, expected_log_counts.tobytes())
+    assert type(total) is int and total == expected_total
+
+
 class TestSortingFitMatchesOracle:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_random_texts_bitwise(self, order):
@@ -267,6 +305,7 @@ class TestSortingFitMatchesOracle:
             contexts.append([rng.randrange(vocab.size) for _ in range(rng.randint(1, 3))])
         for context in contexts:
             assert lm.next_logprobs(context).tobytes() == oracle(context).tobytes()
+            assert_lookup_is_the_numpy_lookup(lm, context)
 
     def test_refit_replaces_the_model(self):
         vocab = small_vocab(4)
@@ -275,6 +314,11 @@ class TestSortingFitMatchesOracle:
         fresh = NgramLm(vocab, order=2).fit([[c, d]])
         for context in ([a], [c], [d], []):
             assert refit.next_logprobs(context).tobytes() == fresh.next_logprobs(context).tobytes()
+            assert_lookup_is_the_numpy_lookup(refit, context)
+        # the lookup reads the refit's own arrays: a count written into them shows in it
+        keys, _, totals, _, _ = refit._tables[1]
+        totals[int(keys.searchsorted(c))] += 5
+        assert refit._lookup([c], vocab.size)[2] == fresh._lookup([c], vocab.size)[2] + 5
 
     # 2**32 + 8 and -(2**32) + 9 wrap to the valid ids 8 and 9 in int32
     @pytest.mark.parametrize("bad", [-1, 12, 99, 2**32 + 8, -(2**32) + 9])
@@ -333,6 +377,7 @@ class TestArrayTablesAtScale:
         assert len(contexts) > 3500 / 4
         for context in contexts:
             assert lm.next_logprobs(context).tobytes() == oracle(context).tobytes()
+            assert_lookup_is_the_numpy_lookup(lm, context)
 
     def test_fit_retains_under_48_bytes_per_distinct_ngram(self, zipf_texts):
         vocab, texts = zipf_texts

@@ -128,9 +128,12 @@ class Context(Sequence[int]):
         return iter(self._tokens)
 
 
-def _check_context(vocab_size: int, context: Sequence[int]) -> None:
-    if not (isinstance(context, Context) and context.vocab_size == vocab_size):
-        _check_tokens(vocab_size, context)
+def _check_context(vocab_size: int, context: Sequence[int]) -> Sequence[int]:
+    """The tokens of ``context``, range-checked unless a ``Context`` of this size checked them."""
+    if isinstance(context, Context) and context.vocab_size == vocab_size:
+        return context._tokens
+    _check_tokens(vocab_size, context)
+    return context
 
 
 class UniformLm:
@@ -143,6 +146,27 @@ class UniformLm:
     def next_logprobs(self, context: Sequence[int]) -> np.ndarray:
         _check_context(self.vocab.size, context)
         return self._vector.copy()
+
+
+_CHUNK = 1 << 14  # pairs whose values one step of the fit finishes
+_TABLED = 1 << 14  # group totals below this read their denominator from a table
+
+
+def _denominators(totals: np.ndarray, alpha: float, size: int) -> np.ndarray:
+    """``log(total + alpha * size)`` for each group total, rounded as ``math.log`` rounds.
+
+    ``math.log`` runs once per distinct total below _TABLED, and those groups
+    read a table. A length's totals sum to at most its token count, so few
+    groups reach _TABLED; each of those takes its own ``math.log``.
+    """
+    small = np.minimum(totals, _TABLED)
+    table = np.empty(_TABLED + 1)
+    distinct = np.flatnonzero(np.bincount(small)[:_TABLED])
+    table[distinct] = [math.log(total + alpha * size) for total in distinct.tolist()]
+    denoms = table[small]
+    for group in np.flatnonzero(small == _TABLED).tolist():
+        denoms[group] = math.log(int(totals[group]) + alpha * size)
+    return denoms
 
 
 class NgramLm:
@@ -167,16 +191,23 @@ class NgramLm:
         # One table per context length c, over the distinct length-c contexts
         # ("groups") in ascending key order. A group's key is the group index
         # of its last c-1 tokens at length c-1, times V, plus its first
-        # token, so a context is found from its last token backwards. Group
-        # g's next-token ids are ids[starts[g]:starts[g + 1]], with
-        # log(count + alpha) in log_counts, and totals[g] counts them all.
-        # Lookups read each table as _views holds it: keys, starts and totals
-        # as zero-copy memoryviews, which give Python ints, not numpy scalars.
+        # token, so a context is found from its last token backwards. At
+        # length 1 the key is the token itself, and the table holds, in
+        # place of its keys, a dense int32 table of V entries giving each
+        # token's group or -1. Group g's next-token ids are
+        # ids[starts[g]:starts[g + 1]], with their final log-probabilities
+        # (floor clamp applied) in values, and fills[g] is the value of
+        # every id it does not list. A lookup reads each table as _views
+        # holds it: keys, starts and fills as zero-copy memoryviews, which
+        # give Python ints and floats, not numpy scalars.
         self._tables: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._views: list[tuple] = []
+        # every context's row while nothing is fit: the uniform 1/V case
+        self._unseen_row = (max(math.log(alpha) - math.log(alpha * vocab.size), LOG_FLOOR),
+                            _every_id(0), np.empty(0))
 
     def fit(self, texts: Sequence[Sequence[int]]) -> "NgramLm":
-        """Count every (context, next token) pair; replaces any earlier fit.
+        """Count every (context, next token) pair and finish every row; replaces any earlier fit.
 
         Each context length sorts its packed context keys once and its packed
         (group, next token) pairs once, in place; no Python code runs per n-gram.
@@ -200,7 +231,7 @@ class NgramLm:
                 has_history[text_starts[lengths >= c] + (c - 1)] = False
                 keys = group[has_history[had_history]] * size
                 keys += tokens[: len(tokens) - c][has_history[c:]]
-                del group
+                del group, had_history
             order = keys.argsort()
             keys = keys[order]
             new_group = np.ones(len(keys), dtype=bool)
@@ -208,7 +239,9 @@ class NgramLm:
             keys = keys[new_group]
             # each sorted position's group id, then its (group, next token) pair;
             # a run of equal pairs is one n-gram
-            pairs = np.cumsum(new_group) - 1
+            pairs = np.cumsum(new_group)
+            del new_group
+            pairs -= 1
             if c + 1 < self.order:  # the last length writes no group ids back
                 # the context group of each position with history, in position order
                 group = np.empty_like(pairs)
@@ -221,49 +254,54 @@ class NgramLm:
             new_run[1:] = pairs[1:] != pairs[:-1]
             pairs = pairs[new_run]
             counts = np.diff(np.append(np.flatnonzero(new_run), len(new_run)))
+            del new_run
             starts = pairs.searchsorted(np.arange(len(keys) + 1) * size)
+            denoms = _denominators(np.add.reduceat(counts, starts[:-1]), self.alpha, size)
+            values = counts + self.alpha
+            del counts
+            np.log(values, out=values)
+            for lo in range(0, len(values), _CHUNK):  # a pair's group is pair // V
+                values[lo : lo + _CHUNK] -= denoms[pairs[lo : lo + _CHUNK] // size]
+            # a no-op unless the denominator is large (every count is at least 1)
+            np.maximum(values, LOG_FLOOR, out=values)
             pairs %= size
-            pairs.flags.writeable = False  # rows hand out views of it
-            tables.append((keys, starts, np.add.reduceat(counts, starts[:-1]), pairs,
-                           np.log(counts + self.alpha)))
-        self._tables = tables
-        self._views = [(*map(memoryview, table[:3]), *table[3:]) for table in tables]
+            if c == 1:  # a length-1 key is its token: index the groups by token
+                tokens_with_group, keys = keys, np.full(size, -1, dtype=np.int32)
+                keys[tokens_with_group] = np.arange(len(tokens_with_group), dtype=np.int32)
+            pairs.flags.writeable = values.flags.writeable = False  # rows hand out views of them
+            # clamping before the fill equals clamping the filled vector
+            tables.append((keys, starts, np.maximum(math.log(self.alpha) - denoms, LOG_FLOOR),
+                           pairs, values))
+        self._tables = tables if len(tokens) else []
+        self._views = [(*map(memoryview, table[:3]), *table[3:]) for table in self._tables]
         return self
-
-    def _lookup(self, context: Sequence[int], size: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """The table of the longest seen suffix of ``context``; ``size`` is the vocabulary's."""
-        history = context[max(0, len(context) - (self.order - 1)) :]
-        views = self._views
-        if not (views and len(views[0][2])):  # no fit, or one on no tokens
-            return np.empty(0, dtype=np.int64), np.empty(0), 0
-        table, group = views[0], 0
-        for c in range(1, len(history) + 1):
-            keys = views[c][0]
-            key = group * size + history[-c]
-            found = bisect.bisect_left(keys, key)
-            if found == len(keys) or keys[found] != key:
-                break
-            table, group = views[c], found
-        _, starts, totals, ids, log_counts = table
-        lo, hi = starts[group], starts[group + 1]
-        return ids[lo:hi], log_counts[lo:hi], totals[group]
 
     def next_row(self, context: Sequence[int]) -> Row:
         """The backoff value and the explicit entries of the longest seen suffix of ``context``.
 
-        ``ids`` is a read-only view of the model's table.
+        ``ids`` and ``values`` are read-only views of the model's table.
         """
         size = self.vocab.size
-        _check_context(size, context)
-        ids, log_counts, total = self._lookup(context, size)
-        denom = math.log(total + self.alpha * size)
-        values = log_counts - denom
-        # every listed count is at least 1, so only a denominator this large
-        # can bring a listed value near the floor (the 1 absorbs rounding)
-        if math.log1p(self.alpha) - denom < LOG_FLOOR + 1:
-            values = np.maximum(values, LOG_FLOOR)
-        # clamping before the fill equals clamping the filled vector
-        return max(math.log(self.alpha) - denom, LOG_FLOOR), ids, values
+        tokens = _check_context(size, context)
+        views = self._views
+        if not views:  # no fit, or one on no tokens
+            return self._unseen_row
+        table, group = views[0], 0
+        n = min(len(tokens), len(views) - 1)
+        if n:
+            found = views[1][0][tokens[-1]]
+            if found >= 0:
+                table, group = views[1], found
+                for c in range(2, n + 1):
+                    keys = views[c][0]
+                    key = group * size + tokens[-c]
+                    found = bisect.bisect_left(keys, key)
+                    if found == len(keys) or keys[found] != key:
+                        break
+                    table, group = views[c], found
+        _, starts, fills, ids, values = table
+        lo, hi = starts[group], starts[group + 1]
+        return fills[group], ids[lo:hi], values[lo:hi]
 
     def next_logprobs(self, context: Sequence[int]) -> np.ndarray:
         return expand_row(self.next_row(context), self.vocab.size)

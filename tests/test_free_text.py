@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from docidlm import decoder
+from docidlm import lm as lm_module
 from docidlm.constraints import SILENT_STOP, GrammarState, Phase, Plan, allowed_mask, step
 from docidlm.corpus import build_corpus, canonical_docid, make_document
 from docidlm.decoder import (
@@ -179,20 +180,33 @@ class TestNgramRow:
                 assert expand_row(row, vocab.size).tobytes() == lm.next_logprobs(text[:end]).tobytes()
 
     @pytest.mark.parametrize("total", [10**6, 10**11, 10**12, 10**13, 10**15])
-    def test_listed_values_clamp_at_the_floor(self, total):
-        # no real fit reaches such totals; scale one group's total to cross the floor
+    def test_listed_values_clamp_at_the_floor(self, total, monkeypatch):
+        # no real fit reaches such totals; the fit's group formula is handed
+        # this total for every group, so the listed values cross the floor
+        denominators = lm_module._denominators
+        monkeypatch.setattr(lm_module, "_denominators", lambda totals, alpha, size:
+                            denominators(np.full_like(totals, total), alpha, size))
         vocab = small_vocab(20)
         lm = NgramLm(vocab, order=2, alpha=0.1).fit([[7, 8, 7, 9, 7, 8]])
-        keys, starts, totals, ids, log_counts = lm._tables[1]
-        group = int(keys.searchsorted(7))
-        totals[group] = total
+        first, starts, _, ids, _ = lm._tables[1]
+        group = first[7]
+        log_counts = np.log(np.array([2, 1]) + 0.1)  # 7 is followed by 8 twice and by 9 once
         fill, row_ids, values = lm.next_row([7])
         listed = slice(starts[group], starts[group + 1])
         denom = math.log(total + 0.1 * vocab.size)
         assert row_ids.tolist() == ids[listed].tolist() == [8, 9]
-        assert values.tobytes() == np.maximum(log_counts[listed] - denom, LOG_FLOOR).tobytes()
+        assert values.tobytes() == np.maximum(log_counts - denom, LOG_FLOOR).tobytes()
         assert fill == max(math.log(0.1) - denom, LOG_FLOOR)
         assert (values == LOG_FLOOR).all() == (total >= 10**13)
+
+    @pytest.mark.parametrize("context", [[7], [8, 7], [], [12]])
+    def test_row_arrays_are_read_only_views_of_the_model(self, context):
+        lm = NgramLm(small_vocab(20), order=3).fit([[7, 8, 7, 9, 7, 8]])
+        _, ids, values = lm.next_row(context)
+        for array, value, column in ((ids, 0, 3), (values, 0.0, 4)):
+            assert any(np.shares_memory(array, table[column]) for table in lm._tables)
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = value
 
     def test_row_of_an_unfit_model_lists_nothing(self):
         vocab = small_vocab(20)

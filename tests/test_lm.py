@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from docidlm import lm as lm_module
 from docidlm.corpus import build_corpus, make_document
 from docidlm.lm import (
     LOG_FLOOR,
@@ -227,32 +228,69 @@ def oracle_fit(vocab, texts, order, alpha=0.1):
     return next_logprobs
 
 
-def numpy_lookup(lm: NgramLm, context, size: int):
-    """``NgramLm._lookup`` as it was with numpy reads: ``searchsorted`` and numpy scalars."""
-    history = context[max(0, len(context) - (lm.order - 1)) :]
-    tables = lm._tables
-    if not (tables and len(tables[0][2])):
-        return np.empty(0, dtype=np.int64), np.empty(0), 0
-    table, group = tables[0], 0
-    for c in range(1, len(history) + 1):
-        keys = tables[c][0]
-        key = group * size + history[-c]
-        found = int(keys.searchsorted(key))
-        if found == len(keys) or keys[found] != key:
-            break
-        table, group = tables[c], found
-    _, starts, totals, ids, log_counts = table
-    lo, hi = starts[group], starts[group + 1]
-    return ids[lo:hi], log_counts[lo:hi], int(totals[group])
+def oracle_row(vocab, texts, order, alpha=0.1):
+    """``NgramLm.next_row`` as it was before the fit finished its rows.
+
+    A dict count builds the tables that fit kept then: per context length,
+    ascending context keys, group starts, totals, next-token ids and
+    ``log(count + alpha)``. Each call finds the longest seen suffix by
+    ``searchsorted`` and works out the row's values from its total.
+    """
+    size = vocab.size
+    counts = [{} for _ in range(order)]  # per context length: context -> next token -> count
+    for seq in texts:
+        for j, token in enumerate(seq):
+            for c in range(min(order - 1, j) + 1):
+                row = counts[c].setdefault(tuple(seq[j - c : j]), {})
+                row[token] = row.get(token, 0) + 1
+    index = {}  # a context's group at its length
+
+    def key(context):  # its last c-1 tokens' group, times V, plus its first token
+        return index[context[1:]] * size + context[0] if context else 0
+
+    tables = []
+    for c in range(order):
+        contexts = sorted(counts[c], key=key)
+        index.update((context, group) for group, context in enumerate(contexts))
+        rows = [sorted(counts[c][context].items()) for context in contexts]
+        tables.append((np.array([key(context) for context in contexts], dtype=np.int64),
+                       np.cumsum([0] + [len(row) for row in rows]),
+                       [sum(count for _, count in row) for row in rows],
+                       np.array([token for row in rows for token, _ in row], dtype=np.int64),
+                       np.log(np.array([count for row in rows for _, count in row]) + alpha)))
+
+    def next_row(context):
+        history = list(context)[max(0, len(context) - (order - 1)) :]
+        ids, log_counts, total = np.empty(0, dtype=np.int64), np.empty(0), 0
+        if tables[0][2]:  # a fit on no tokens has no groups
+            table, group = tables[0], 0
+            for c in range(1, len(history) + 1):
+                keys = tables[c][0]
+                key = group * size + history[-c]
+                found = int(keys.searchsorted(key))
+                if found == len(keys) or keys[found] != key:
+                    break
+                table, group = tables[c], found
+            _, starts, totals, ids, log_counts = table
+            lo, hi = starts[group], starts[group + 1]
+            ids, log_counts, total = ids[lo:hi], log_counts[lo:hi], totals[group]
+        denom = math.log(total + alpha * size)
+        values = log_counts - denom
+        if math.log1p(alpha) - denom < LOG_FLOOR + 1:
+            values = np.maximum(values, LOG_FLOOR)
+        return max(math.log(alpha) - denom, LOG_FLOOR), ids, values
+
+    return next_row
 
 
-def assert_lookup_is_the_numpy_lookup(lm: NgramLm, context) -> None:
-    ids, log_counts, total = lm._lookup(context, lm.vocab.size)
-    expected_ids, expected_log_counts, expected_total = numpy_lookup(lm, context, lm.vocab.size)
-    assert (ids.dtype, ids.tobytes()) == (expected_ids.dtype, expected_ids.tobytes())
-    assert (log_counts.dtype, log_counts.tobytes()) == \
-        (expected_log_counts.dtype, expected_log_counts.tobytes())
-    assert type(total) is int and total == expected_total
+def assert_row_is_the_oracle_row(lm: NgramLm, oracle, context) -> None:
+    """``lm``'s row of ``context``, as a plain list and as a ``Context``, is ``oracle``'s, bit for bit."""
+    expected_fill, expected_ids, expected_values = oracle(context)
+    for read_as in (list(context), Context(lm.vocab.size, context)):
+        fill, ids, values = lm.next_row(read_as)
+        assert type(fill) is float and fill.hex() == expected_fill.hex()
+        assert (ids.dtype, ids.tobytes()) == (expected_ids.dtype, expected_ids.tobytes())
+        assert (values.dtype, values.tobytes()) == (expected_values.dtype, expected_values.tobytes())
 
 
 class TestSortingFitMatchesOracle:
@@ -266,20 +304,28 @@ class TestSortingFitMatchesOracle:
                      for _ in range(rng.randint(0, 15))]
             lm = train_ngram(vocab, texts, order=order, alpha=0.1)
             oracle = oracle_fit(vocab, texts, order)
+            row = oracle_row(vocab, texts, order)
             seen = [t[max(0, j - order + 1) : j] for t in texts for j in range(len(t) + 1)]
             fresh = [[rng.randrange(0, vocab.size) for _ in range(rng.randint(0, 5))]
                      for _ in range(30)]
-            for context in seen + fresh:
+            # ids no token follows in any text: no context ends in them
+            ungrouped = set(range(vocab.size)).difference(*(t[:-1] for t in texts))
+            for context in seen + fresh + [[*fresh[0], last] for last in ungrouped]:
                 assert lm.next_logprobs(context).tobytes() == oracle(context).tobytes()
+                assert_row_is_the_oracle_row(lm, row, context)
 
     def test_fit_on_nothing_is_uniform(self):
         vocab = small_vocab(3)
         unfitted = NgramLm(vocab, order=3).next_logprobs([7, 8])
         assert unfitted.tobytes() == oracle_fit(vocab, [], 3)([7, 8]).tobytes()
+        for context in ([7, 8], [7], []):
+            assert_row_is_the_oracle_row(NgramLm(vocab, order=3), oracle_row(vocab, [], 3), context)
         for texts in ([], [[]], [[], []]):
             lm = NgramLm(vocab, order=3).fit(texts)
             assert lm.next_logprobs([7, 8]).tobytes() == oracle_fit(vocab, texts, 3)([7, 8]).tobytes()
             assert np.allclose(lm.next_logprobs([]), math.log(1 / vocab.size))
+            for context in ([7, 8], [7], []):
+                assert_row_is_the_oracle_row(lm, oracle_row(vocab, texts, 3), context)
 
     def test_wide_keys_bitwise(self):
         # 150k ids at order 4: most context keys and (group, next token)
@@ -296,6 +342,7 @@ class TestSortingFitMatchesOracle:
         lm = train_ngram(vocab, texts, order=4)
         assert np.median(lm._tables[3][0]) > 2**31
         oracle = oracle_fit(vocab, texts, 4)
+        row = oracle_row(vocab, texts, 4)
         contexts = [[]]
         for _ in range(150):
             text = rng.choice([text for text in texts if text])
@@ -305,20 +352,30 @@ class TestSortingFitMatchesOracle:
             contexts.append([rng.randrange(vocab.size) for _ in range(rng.randint(1, 3))])
         for context in contexts:
             assert lm.next_logprobs(context).tobytes() == oracle(context).tobytes()
-            assert_lookup_is_the_numpy_lookup(lm, context)
+            assert_row_is_the_oracle_row(lm, row, context)
 
     def test_refit_replaces_the_model(self):
         vocab = small_vocab(4)
         a, b, c, d = 7, 8, 9, 10
         refit = NgramLm(vocab, order=2).fit([[a, b]]).fit([[c, d]])
         fresh = NgramLm(vocab, order=2).fit([[c, d]])
+        row = oracle_row(vocab, [[c, d]], 2)
         for context in ([a], [c], [d], []):
             assert refit.next_logprobs(context).tobytes() == fresh.next_logprobs(context).tobytes()
-            assert_lookup_is_the_numpy_lookup(refit, context)
-        # the lookup reads the refit's own arrays: a count written into them shows in it
-        keys, _, totals, _, _ = refit._tables[1]
-        totals[int(keys.searchsorted(c))] += 5
-        assert refit._lookup([c], vocab.size)[2] == fresh._lookup([c], vocab.size)[2] + 5
+            assert_row_is_the_oracle_row(refit, row, context)
+        # the row reads the refit's own arrays: a fill written into them shows in it
+        first, _, fills, _, _ = refit._tables[1]
+        fills[first[c]] -= 5
+        assert refit.next_row([c])[0] == fresh.next_row([c])[0] - 5
+
+    def test_denominators_round_as_math_log(self):
+        # totals below and above the bound of the fit's table, many of them repeated
+        rng = np.random.default_rng(3)
+        totals = rng.permutation(np.concatenate([np.arange(1, 60_000), rng.integers(1, 10**9, 20_000),
+                                                 rng.integers(1, 50, 20_000)]))
+        for alpha, size in ((0.1, 7_201), (1e-9, 11_447), (3.0, 27)):
+            expected = np.array([math.log(total + alpha * size) for total in totals.tolist()])
+            assert lm_module._denominators(totals, alpha, size).tobytes() == expected.tobytes()
 
     # 2**32 + 8 and -(2**32) + 9 wrap to the valid ids 8 and 9 in int32
     @pytest.mark.parametrize("bad", [-1, 12, 99, 2**32 + 8, -(2**32) + 9])
@@ -331,17 +388,22 @@ class TestSortingFitMatchesOracle:
         assert lm.next_logprobs([7]).tobytes() == before
 
 
-@pytest.fixture(scope="module")
-def bench_texts():
-    """Vocabulary and body token texts of a 600-DocID benchmark corpus."""
+def corpusgen_texts(*shape):
+    """Vocabulary and body token texts of a benchmark corpus of ``CorpusShape(*shape)``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         corpusgen = importlib.import_module("corpusgen")
-    records, golds = corpusgen.generate(corpusgen.CorpusShape(600, 40, 4, 600, 300), seed=5)
+    records, golds = corpusgen.generate(corpusgen.CorpusShape(*shape), seed=5)
     corpus = build_corpus([make_document(r["id"], r["title"], r["section"], r["text"])
                            for r in records])
     vocab = build_vocabulary(corpus, [gold["input"] for gold in golds])
     return vocab, [encode(vocab, doc.body) for doc in corpus.documents.values()]
+
+
+@pytest.fixture(scope="module")
+def bench_texts():
+    """Vocabulary and body token texts of a 600-DocID benchmark corpus."""
+    return corpusgen_texts(600, 40, 4, 600, 300)
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +423,7 @@ class TestArrayTablesAtScale:
         vocab, texts = bench_texts
         lm = train_ngram(vocab, texts, order=order)
         oracle = oracle_fit(vocab, texts, order)
+        row = oracle_row(vocab, texts, order)
         # title words and specials never occur in a body
         unseen = sorted(set(range(vocab.size)) - {token for text in texts for token in text})
         rng = random.Random(order)
@@ -374,10 +437,12 @@ class TestArrayTablesAtScale:
             holed = list(seen) or [0]
             holed[rng.randrange(len(holed))] = rng.choice(unseen)
             contexts.append(holed)
+            # and one whose last token was never seen
+            contexts.append([*seen, unseen[len(contexts) % len(unseen)]])
         assert len(contexts) > 3500 / 4
         for context in contexts:
             assert lm.next_logprobs(context).tobytes() == oracle(context).tobytes()
-            assert_lookup_is_the_numpy_lookup(lm, context)
+            assert_row_is_the_oracle_row(lm, row, context)
 
     def test_fit_retains_under_48_bytes_per_distinct_ngram(self, zipf_texts):
         vocab, texts = zipf_texts
@@ -406,6 +471,27 @@ class TestArrayTablesAtScale:
             tracemalloc.stop()
         assert lm.next_logprobs(texts[0]).shape == (vocab.size,)
         assert (peak - retained) / sum(map(len, texts)) <= 48
+
+    def test_finished_rows_take_no_more_memory_at_2000_docids(self):
+        # retrieve-20k's corpus shape at 2,000 DocIDs. The bounds are what the
+        # fit measured here when it kept log counts and totals and each
+        # lookup worked its row out from them: 27.024 B per pair retained
+        # and 2,071,149 B at its transient peak (Python 3.11, numpy 2.4).
+        retained_per_pair_before, transient_before = 27.024, 2_071_149
+        vocab, texts = corpusgen_texts(2_000, 40, 100, 6_000, 6_000)
+        pairs = sum(len({tuple(text[j - c : j + 1]) for text in texts for j in range(c, len(text))})
+                    for c in range(3))
+        NgramLm(vocab, order=3).fit(texts)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lm = NgramLm(vocab, order=3).fit(texts)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lm.next_logprobs(texts[0]).shape == (vocab.size,)
+        assert (retained - before) / pairs <= retained_per_pair_before
+        assert peak - retained <= transient_before
 
 
 # ---------------------------------------------------------------------------

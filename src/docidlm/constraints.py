@@ -7,7 +7,7 @@ comes next. The specification is :func:`step`, which advances a
 :class:`GrammarState` by one token and rejects one the phase does not
 accept, and :func:`allowed_mask`, the ascending array of legal ids: inside a
 DocID span the trie and the exclusion set narrow it, elsewhere the decode
-plan does. The trace parse folds :func:`step`; a decode loop runs a
+plan does. The trace parse folds :func:`step`; a decode runs one
 :class:`Cursor`, the same automaton updated in place from the table that
 :func:`compile_grammar` builds once per vocabulary size.
 
@@ -126,6 +126,10 @@ _MASK_CLASSES = {phase: (_symbol(exit_symbol),) + tuple(cls for cls, _ in body)
 # and a spent budget stops the phase without a decision.
 SILENT_STOP = frozenset({Phase.LIST, Phase.CLOSED_BOOK})
 
+# the plan field that caps a phase, and the counter it caps: DocIDs 0, references 1, length 2
+_CAPS = {Phase.LIST: ("docids", 0), Phase.REFS: ("refs", 1), Phase.REF: ("ref_tokens", 2),
+         Phase.ANSWER: ("answer_tokens", 2), Phase.CLOSED_BOOK: ("answer_tokens", 2)}
+
 
 @dataclass(frozen=True)
 class Plan:
@@ -153,18 +157,11 @@ class GrammarState:
 
 def _spent(state: GrammarState) -> bool:
     """Whether the plan allows no more of what the current phase repeats."""
-    plan, phase = state.plan, state.phase
-    if phase is Phase.LIST:
-        used, cap = state.docids, plan.docids
-    elif phase is Phase.REFS:
-        used, cap = state.refs, None if plan.refs is None else min(plan.refs, state.docids)
-    elif phase is Phase.REF:
-        used, cap = state.length, plan.ref_tokens
-    elif phase in (Phase.ANSWER, Phase.CLOSED_BOOK):
-        used, cap = state.length, plan.answer_tokens
-    else:
-        return False
-    return cap is not None and used >= cap
+    name, counter = _CAPS.get(state.phase, (None, 0))
+    cap = getattr(state.plan, name) if name else None
+    if cap is not None and state.phase is Phase.REFS:  # one reference per listed DocID at most
+        cap = min(cap, state.docids)
+    return cap is not None and (state.docids, state.refs, state.length)[counter] >= cap
 
 
 def step(state: GrammarState, token: int) -> GrammarState:
@@ -251,9 +248,6 @@ def class_ids(classes: tuple[range, ...], vocab_size: int) -> np.ndarray:
 PHASES = tuple(Phase)  # a phase's number is its index here and in the compiled table
 _LIST, _DOCID, _REFS = map(PHASES.index, (Phase.LIST, Phase.DOCID, Phase.REFS))
 _SILENT = frozenset(map(PHASES.index, SILENT_STOP))
-# the plan field that caps a phase, and the counter it caps: DocIDs 0, references 1, length 2
-_CAPS = {Phase.LIST: ("docids", 0), Phase.REFS: ("refs", 1), Phase.REF: ("ref_tokens", 2),
-         Phase.ANSWER: ("answer_tokens", 2), Phase.CLOSED_BOOK: ("answer_tokens", 2)}
 
 
 @lru_cache(maxsize=8)

@@ -66,8 +66,12 @@ class Document:
     title: str
     section: str
     body: str
-    sentences: tuple[str, ...]
     source_id: str = ""
+
+    @property
+    def sentences(self) -> tuple[str, ...]:
+        """The body's sentences, split when read, so a document holds its text once."""
+        return tuple(split_sentences(self.body))
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,6 @@ def make_document(source_id: str, title: str, section: str, text: str) -> Docume
         title=title,
         section=section,
         body=text,
-        sentences=tuple(split_sentences(text)),
         source_id=source_id,
     )
 

@@ -2,7 +2,7 @@
 and the continuous DocIDs-References-Answer pipeline.
 
 Every decode is one greedy loop over the output grammar of
-:mod:`docidlm.constraints`, run as a :class:`~docidlm.constraints.Cursor`
+:mod:`docidlm.constraints`, run as one :class:`~docidlm.constraints.Cursor`
 updated in place. A retrieval decode starts from the task-prefixed query in
 the list phase: outside a DocID span only opening a new span or stopping is
 legal; inside a span the trie dictates the continuations, and every completed
@@ -123,9 +123,9 @@ _DOCID, _REF, _ANSWER = map(PHASES.index, (Phase.DOCID, Phase.REF, Phase.ANSWER)
 
 
 class _Session:
-    """One decode: scorer context, token trace, spans, DocID exclusions and cost meter."""
+    """One decode: scorer context, cursor, token trace, spans, DocID exclusions and cost meter."""
 
-    def __init__(self, lm: LmScorer, trie: DocIdTrie, prompt: Sequence[int]):
+    def __init__(self, lm: LmScorer, trie: DocIdTrie, prompt: Sequence[int], start: GrammarState):
         self.lm = lm
         self.next_row = row_scorer(lm)
         self.trie = trie
@@ -137,22 +137,20 @@ class _Session:
         self.scores: list[float] = []
         self.references: list[list[int]] = []  # the text of each reference span
         self.answer: list[int] = []
+        self.cursor = Cursor(start, trie, lm.vocab.size)
         self.ingest(prompt)
 
     def ingest(self, tokens: Sequence[int]) -> None:
         self.context.extend(tokens)
         self.cost.context_tokens += len(tokens)
 
-    def run(self, state: GrammarState, until: Phase) -> GrammarState:
-        """Decode greedily from ``state`` until the automaton reaches ``until``.
+    def run(self, until: Phase) -> None:
+        """Decode greedily until the session's cursor reaches ``until``.
 
-        The automaton runs as a :class:`Cursor` updated in place. Reference
-        and answer tokens are recorded as it enters and stays in those phases,
-        so a result needs no parse of its own trace.
+        Reference and answer tokens are recorded as the cursor enters and
+        stays in those phases, so a result needs no parse of its own trace.
         """
-        vocab_size = self.lm.vocab.size
-        cursor = Cursor(state, self.trie, vocab_size)
-        stop = PHASES.index(until)
+        vocab_size, cursor, stop = self.lm.vocab.size, self.cursor, PHASES.index(until)
         span_logprob = 0.0
         while cursor.at != stop:
             at = cursor.at
@@ -185,7 +183,6 @@ class _Session:
                     self.references.append([])
             elif cursor.at == _ANSWER == at:
                 self.answer.append(token)
-        return cursor.state()
 
     def ranked(self) -> RankedDocIds:
         return RankedDocIds(tuple(self.docids), tuple(self.scores))
@@ -218,10 +215,8 @@ def _greedy_choice(row: Row, allowed: np.ndarray) -> int:
         best = start + int(values[start:stop].argmax())
         candidates.append((values[best], -int(ids[best])))
     if stop - start <= hi - lo:  # some id of the run is not listed
-        unlisted = lo
-        if start < stop and ids[start] == lo:
-            # ids[i] - i ascends, and equals lo - start while the run is listed from lo on
-            unlisted += bisect.bisect_right(range(start, stop), lo - start, key=lambda i: ids[i] - i)
+        # ids[i] - i ascends, and equals lo - start while the run is listed from lo on
+        unlisted = lo + bisect.bisect_right(range(start, stop), lo - start, key=lambda i: ids[i] - i)
         candidates.append((fill, -unlisted))
     for token in allowed[:lone].tolist():
         at = int(ids.searchsorted(token))
@@ -235,8 +230,9 @@ def generate_docid_list(lm: LmScorer, trie: DocIdTrie, query: str, k: int) -> Ra
         raise DecodeError("k must be >= 1")
     if len(trie) == 0:
         raise DecodeError("cannot decode DocIDs over an empty trie")
-    session = _Session(lm, trie, encode(lm.vocab, f"{RETRIEVE_PREFIX} {query}"))
-    session.run(GrammarState(Phase.LIST, Plan(docids=k)), Phase.REFS)
+    session = _Session(lm, trie, encode(lm.vocab, f"{RETRIEVE_PREFIX} {query}"),
+                       GrammarState(Phase.LIST, Plan(docids=k)))
+    session.run(Phase.REFS)
     return session.ranked()
 
 
@@ -249,8 +245,9 @@ def generate_closed_book(lm: LmScorer, query: str, max_tokens: int) -> str:
     """
     if max_tokens < 1:
         raise DecodeError("max_tokens must be >= 1")
-    session = _Session(lm, DocIdTrie(), encode(lm.vocab, f"{ANSWER_PREFIX} {query}"))
-    session.run(GrammarState(Phase.CLOSED_BOOK, Plan(answer_tokens=max_tokens)), Phase.DONE)
+    session = _Session(lm, DocIdTrie(), encode(lm.vocab, f"{ANSWER_PREFIX} {query}"),
+                       GrammarState(Phase.CLOSED_BOOK, Plan(answer_tokens=max_tokens)))
+    session.run(Phase.DONE)
     return decode(lm.vocab, [t for t in session.trace if t != ANSWER_OPEN])
 
 
@@ -318,16 +315,16 @@ def _generate_rag(
     if len(trie) == 0:
         raise DecodeError("cannot decode DocIDs over an empty trie")
     prompt = encode(lm.vocab, f"{RAG_PREFIX} {query}")
-    session = _Session(lm, trie, prompt)
     plan = Plan(k_retrieve, k_context, max_ref_tokens, max_answer_tokens)
-    state = session.run(GrammarState(Phase.LIST, plan), Phase.REFS)
+    session = _Session(lm, trie, prompt, GrammarState(Phase.LIST, plan))
+    session.run(Phase.REFS)
     context_docids = tuple(session.docids[:k_context])
     if rebuild_context and context_docids:
         session.context = Context(lm.vocab.size)
         session.ingest(prompt)
     for doc_id in context_docids:
         session.ingest(render_document_tokens(lm.vocab, corpus.get(doc_id), budget))
-    session.run(state, Phase.DONE)
+    session.run(Phase.DONE)
     return RagResult(
         docids=session.ranked(),
         context_docids=context_docids,

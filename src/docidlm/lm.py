@@ -354,7 +354,8 @@ class RemoteLm:
     Protocol: POST ``{"context": [int, ...]}`` as JSON; the reply must have a
     2xx status and the body ``{"logprobs": [float, ...]}`` with exactly one
     entry per vocabulary id, none of them NaN or +inf. The endpoint is
-    checked on construction, and ``timeout`` bounds each call as a whole.
+    checked on construction, as is ``timeout``, which must be finite and
+    positive and bounds each call as a whole.
 
     Each scorer owns one connection, which calls from any thread take in
     turn. A server that keeps it alive (HTTP/1.1 without ``Connection:
@@ -369,6 +370,8 @@ class RemoteLm:
         if connection_class is None or not parts.hostname:
             raise ValueError(f"remote scorer endpoint {endpoint!r} is not an "
                              "http:// or https:// URL with a host")
+        if not 0 < timeout < math.inf:  # NaN compares false too
+            raise ValueError(f"remote scorer timeout must be finite and > 0 seconds, not {timeout!r}")
         self.vocab = vocab
         self._endpoint = endpoint
         self._timeout = timeout

@@ -133,9 +133,9 @@ class Bm25Index:
         lo, hi = self.starts[term], self.starts[term + 1]
         return self.docs[lo:hi], self.tfs[lo:hi]
 
-    def idf(self, term: str) -> float:
-        row, n = self.corpus.words.term_id.get(term), self.document_count
-        n_t = 0 if row is None else len(self.postings(row)[0])
+    def idf(self, term: int) -> float:
+        """The BM25 idf of term id ``term``."""
+        n, n_t = self.document_count, len(self.postings(term)[0])
         return math.log((n - n_t + 0.5) / (n_t + 0.5) + 1.0)
 
 
@@ -157,7 +157,7 @@ def bm25_retrieve(index: Bm25Index, query: str | Sequence[int], k: int) -> list[
     touched = np.zeros(index.document_count, dtype=bool)
     for term in index.corpus.words.query_terms(query):
         docs, tfs = index.postings(term)
-        idf = index.idf(index.corpus.words.terms[term])
+        idf = index.idf(term)
         scores[docs] += idf * tfs * (index.k1 + 1) / (tfs + index.norm[docs])
         touched[docs] = True
     candidates = np.flatnonzero(touched)

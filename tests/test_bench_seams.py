@@ -17,21 +17,13 @@ from docidlm.decoder import (generate_closed_book, generate_docid_list, generate
                              generate_rag_pipeline, parse_rag_trace)
 from docidlm.lm import UniformLm
 
-from conftest import random_instance
+from conftest import RecordingSession, random_instance
 
 
 @pytest.fixture
 def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     return importlib.import_module("tracing")
-
-
-class RecordingSession(decoder._Session):
-    made: list = []
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.made.append(self)
 
 
 def expected_spans(session, k_retrieve, max_tokens, docid_spans):

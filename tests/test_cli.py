@@ -2,11 +2,8 @@ import argparse
 import gc
 import json
 import logging
-import math
 import re
-import threading
 import warnings
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -363,56 +360,17 @@ def test_remote_decode_refuses_flag_it_does_not_read(workdir, capsys, command, f
     assert f"{command} --remote-lm does not read {flags[0]}" in capsys.readouterr().err
 
 
-class _UniformKeepAliveHandler(BaseHTTPRequestHandler):
-    """HTTP/1.1 scorer that keeps every connection open and answers uniform logprobs."""
-
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-
-    def setup(self):
-        super().setup()
-        with self.server.lock:
-            self.server.connections += 1
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        size = self.server.vocab_size
-        data = json.dumps({"logprobs": [-math.log(size)] * size}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def demo_scorer():
-    """A keep-alive scorer for the demos/data vocabulary; yields (server, endpoint)."""
-    vocab = engine_vocabulary(ingest_corpus(DEMO_DATA / "corpus.jsonl"),
-                              load_gold(DEMO_DATA / "gold.jsonl"))
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _UniformKeepAliveHandler)
-    server.vocab_size, server.connections, server.lock = vocab.size, 0, threading.Lock()
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    yield server, f"http://127.0.0.1:{server.server_port}/score"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-
-
 @pytest.mark.parametrize("command, flags", [
     ("retrieve", ["--k-retrieve", "2", "--k-context", "1"]),
     ("rag", ["--k-retrieve", "2", "--k-context", "1", "--budget", "5", "--mode", "pipeline"]),
     ("loss", ["--k-retrieve", "2", "--tau", "0.3", "--bm25-k1", "1", "--bm25-b", "0.5",
               "--seed", "2", "--aux-per-task", "1", "--lambda", "1,1,1,1"]),
 ])
-def test_remote_command_reads_its_flags_and_closes_its_connection(tmp_path, demo_scorer,
+def test_remote_command_reads_its_flags_and_closes_its_connection(tmp_path, keepalive_server,
                                                                   command, flags):
-    server, endpoint = demo_scorer
+    vocab = engine_vocabulary(ingest_corpus(DEMO_DATA / "corpus.jsonl"),
+                              load_gold(DEMO_DATA / "gold.jsonl"))
+    server, endpoint = keepalive_server(vocab_size=vocab.size)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         code = run([command, "--corpus", DEMO_DATA / "corpus.jsonl",

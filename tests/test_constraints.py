@@ -35,7 +35,7 @@ from docidlm.tokens import (
 from docidlm import decoder
 from docidlm.trie import ExclusionSet, build_trie, exclude
 
-from conftest import corpus_from_rows, random_corpus, random_instance
+from conftest import corpus_from_rows, free_text_states, random_corpus, random_instance
 
 Q, A, H, Z = 10, 11, 12, 13  # stand-in ordinary token ids
 
@@ -161,25 +161,6 @@ class TestAllowedMask:
             assert mask.tolist() == [close] + list(range(UNK, self.vocab.size))
 
 
-def free_text_cases(vocab_size):
-    """(state, mask built afresh) for every phase outside a DocID span, spent or not."""
-    words = list(range(UNK, vocab_size))
-    caps = Plan(docids=2, refs=2, ref_tokens=3, answer_tokens=3)
-    return [
-        (GrammarState(Phase.LIST, caps), [DOCID_OPEN, EOS]),
-        (GrammarState(Phase.LIST, caps, docids=2), [EOS]),
-        (GrammarState(Phase.REFS), [REF_OPEN, ANSWER_OPEN]),
-        (GrammarState(Phase.REFS, caps, docids=2, refs=1), [REF_OPEN]),
-        (GrammarState(Phase.REFS, caps, docids=2, refs=2), [ANSWER_OPEN]),
-        (GrammarState(Phase.REF, caps, length=2), [REF_CLOSE] + words),
-        (GrammarState(Phase.REF, caps, length=3), [REF_CLOSE]),
-        (GrammarState(Phase.ANSWER, caps, length=2), [EOS] + words),
-        (GrammarState(Phase.ANSWER, caps, length=3), [EOS]),
-        (GrammarState(Phase.CLOSED_BOOK, caps, length=2), [ANSWER_OPEN, EOS] + words),
-        (GrammarState(Phase.CLOSED_BOOK, caps, length=3), [EOS]),
-    ]
-
-
 def test_cached_free_text_masks_equal_fresh_ones():
     corpus = corpus_from_rows([("1", "a", "x", "t."), ("2", "a", "y", "t.")])
     small = build_vocabulary(corpus, [])
@@ -189,7 +170,7 @@ def test_cached_free_text_masks_equal_fresh_ones():
     excl = ExclusionSet(trie)
     for _ in range(2):  # the second pass reads the cache
         for vocab_size in (small.size, large.size):
-            for state, expected in free_text_cases(vocab_size):
+            for state, expected in free_text_states(vocab_size).values():
                 mask = allowed_mask(state, trie, excl, vocab_size)
                 assert mask.dtype == np.int64 and not mask.flags.writeable
                 assert mask.tolist() == expected, state
@@ -213,8 +194,6 @@ def rollout_sound(trie, vocab_size, excl, state, depth=0):
 
 def test_mask_soundness_exhaustive_rollout():
     rng = random.Random(47)
-    from conftest import random_corpus
-
     for _ in range(10):
         corpus = random_corpus(rng, rng.randint(2, 50))
         vocab = build_vocabulary(corpus, [])
@@ -335,14 +314,14 @@ def fold(state: GrammarState, trace, until: Phase) -> GrammarState:
 
 
 def test_state_handed_between_runs_is_the_folded_state(monkeypatch):
-    runs = []
+    runs, cursors = [], []
     run = decoder._Session.run
 
-    def recorded(session, state, until):
-        start = len(session.trace)
-        handed = run(session, state, until)
-        runs.append((state, until, handed, session.trace[start:]))
-        return handed
+    def recorded(session, until):
+        start, begin = session.cursor.state(), len(session.trace)
+        run(session, until)
+        runs.append((start, until, session.cursor.state(), session.trace[begin:]))
+        cursors.append(session.cursor)
 
     monkeypatch.setattr(decoder._Session, "run", recorded)
     rng = random.Random(59)
@@ -354,11 +333,13 @@ def test_state_handed_between_runs_is_the_folded_state(monkeypatch):
                       max_ref_tokens=rng.choice([0, 1, 3]), max_answer_tokens=rng.choice([0, 1, 3]))
         for generate in (decoder.generate_rag, decoder.generate_rag_pipeline):
             runs.clear()
+            cursors.clear()
             result = generate(lm, trie, corpus, rng.choice(queries), **limits)
             (start, until, handed, listed), (resumed, end, done, read) = runs
+            assert cursors[0] is cursors[1]  # one cursor per decode
             assert start == GrammarState(Phase.LIST, Plan(*limits.values()))
             assert (until, end) == (Phase.REFS, Phase.DONE)
-            assert handed == fold(start, listed, Phase.REFS) and resumed is handed
+            assert handed == fold(start, listed, Phase.REFS) and resumed == handed
             assert done == fold(resumed, read, Phase.DONE)
             assert tuple(listed + read) == result.token_trace
             ends.add(len(result.docids) == k_retrieve)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from docidlm import decoder, lm as lm_module
-from docidlm.constraints import GrammarState, Phase, allowed_mask, scan_state
 from docidlm.decoder import (
     DecodeCost,
     DecodeError,
@@ -34,35 +33,15 @@ from docidlm.tokens import (
     encode,
 )
 from docidlm.training import make_closed_book_example, render_example_tokens
-from docidlm.trie import ExclusionSet, build_trie
+from docidlm.trie import build_trie
 
-from conftest import corpus_from_rows, random_instance
+from conftest import corpus_from_rows, dense_span_term, oracle_span_scores, random_instance
 
 
 def tiny_vocab_of_size(n: int) -> Vocabulary:
     """A bare n-token vocabulary for closed-form uniform-scorer arithmetic."""
     tokens = tuple(f"t{i}" for i in range(n))
     return Vocabulary(tokens=tokens, token_to_id={t: i for i, t in enumerate(tokens)})
-
-
-def masked_score_sequence(lm, context, target, mask_provider) -> float:
-    """Teacher-forced log-probability of ``target``, each token's renormalized over its mask.
-
-    ``mask_provider`` gives the ascending allowed ids for a prefix, or ``None``
-    to leave a position unmasked; this is what a masked greedy decode reports.
-    """
-    prefix, total = list(context), 0.0
-    for token in target:
-        vector = lm.next_logprobs(prefix)
-        logprob = float(vector[token])
-        allowed = mask_provider(prefix)
-        if allowed is not None:
-            assert token in allowed, f"target token {token} not in the provided mask"
-            peak = float(vector[allowed].max())
-            logprob -= peak + float(np.log(np.exp(vector[allowed] - peak).sum()))
-        total += logprob
-        prefix.append(token)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -176,27 +155,9 @@ class TestDocIdList:
         corpus, vocab, trie, lm, queries = random_instance(rng, 12)
         result = generate_docid_list(lm, trie, queries[0], k=5)
         prompt = encode(vocab, f"retrieve: {queries[0]}")
-
-        generated: list[int] = []
-        for doc_id, reported in zip(result.docids, result.per_docid_logprob):
-            path = trie.docid_paths[doc_id]
-            context = prompt + generated + [DOCID_OPEN]
-
-            def provider(prefix, _prompt_len=len(prompt)):
-                inner = scan_state(prefix[_prompt_len:])
-                excl = ExclusionSet(trie)
-                for did, p in trie.docid_paths.items():
-                    span = [DOCID_OPEN, *p, DOCID_CLOSE]
-                    hist = prefix[_prompt_len:]
-                    for s in range(len(hist) - len(span) + 1):
-                        if hist[s : s + len(span)] == span:
-                            excl.add(did)
-                            break
-                return allowed_mask(GrammarState(Phase.DOCID, span=inner), trie, excl, vocab.size)
-
-            recomputed = masked_score_sequence(lm, context, list(path), provider)
-            assert reported == pytest.approx(recomputed, abs=1e-9)
-            generated += [DOCID_OPEN, *path, DOCID_CLOSE]
+        trace = [t for d in result.docids for t in (DOCID_OPEN, *trie.docid_paths[d], DOCID_CLOSE)]
+        assert len(result.docids) > 1
+        assert list(result.per_docid_logprob) == oracle_span_scores(lm, trie, prompt, trace)
 
 
 class TestClosedBook:
@@ -250,7 +211,8 @@ class TestScoreSequence:
         target = encode(vocab, queries[1]) or [7]
         full = np.arange(vocab.size)
         unmasked = score_sequence(lm, context, target)
-        masked = masked_score_sequence(lm, context, target, lambda p: full)
+        masked = sum(dense_span_term(lm.next_logprobs(context + target[:i]), full, token)
+                     for i, token in enumerate(target))
         assert masked == pytest.approx(unmasked, abs=1e-9)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, None])  # None: the dense-only UniformLm

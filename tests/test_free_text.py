@@ -1,11 +1,9 @@
 """Free-text decode steps from scorer rows, checked against the dense loop they replace."""
 
-import importlib
 import math
 import random
 import struct
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +33,8 @@ from docidlm.training import (
 )
 from docidlm.trie import DocIdTrie, ExclusionSet, build_trie
 
-from conftest import random_instance
+from conftest import (RecordingSession, bench_corpus, free_text_states, oracle_span_scores,
+                      random_instance)
 from test_decoder import oracle_docid_list
 
 
@@ -49,22 +48,9 @@ def small_vocab(size: int):
 
 def free_text_masks(trie: DocIdTrie, vocab_size: int):
     """Every mask ``allowed_mask`` gives outside a DocID span, by name."""
-    excl = ExclusionSet(trie)
-    states = {
-        "list": GrammarState(Phase.LIST, Plan(docids=3)),
-        "list spent": GrammarState(Phase.LIST, Plan(docids=3), docids=3),
-        "refs unbounded": GrammarState(Phase.REFS),
-        "forced <ref>": GrammarState(Phase.REFS, Plan(refs=2), docids=2),
-        "forced <answer>": GrammarState(Phase.REFS, Plan(refs=2), docids=2, refs=2),
-        "reference": GrammarState(Phase.REF, Plan(ref_tokens=4), length=1),
-        "reference at its cap": GrammarState(Phase.REF, Plan(ref_tokens=4), length=4),
-        "answer": GrammarState(Phase.ANSWER, Plan(answer_tokens=4)),
-        "answer spent": GrammarState(Phase.ANSWER, Plan(answer_tokens=4), length=4),
-        "closed-book": GrammarState(Phase.CLOSED_BOOK, Plan(answer_tokens=4)),
-        "closed-book spent": GrammarState(Phase.CLOSED_BOOK, Plan(answer_tokens=4), length=4),
-    }
-    masks = {name: allowed_mask(state, trie, excl, vocab_size) for name, state in states.items()}
-    masks["list, every DocID excluded"] = allowed_mask(states["list"], DocIdTrie(), excl, vocab_size)
+    excl, states = ExclusionSet(trie), free_text_states(vocab_size)
+    masks = {name: allowed_mask(state, trie, excl, vocab_size) for name, (state, _) in states.items()}
+    masks["list, every DocID excluded"] = allowed_mask(states["list"][0], DocIdTrie(), excl, vocab_size)
     return masks
 
 
@@ -146,7 +132,7 @@ class TestGreedyChoice:
                 seen.add(name)
                 branches.add((name, takes_first_maximum(row, allowed)))
                 kinds.add(kind)
-        assert len(seen) == 12
+        assert len(seen) == len(free_text_states(7)) + 1
         # every mask is decided both by the row's first maximum and by the run/lone search
         assert branches == {(name, taken) for name in seen for taken in (False, True)}
         assert len(kinds) == 4
@@ -221,11 +207,12 @@ class TestNgramRow:
 
 def oracle_rag_decode(lm, trie, corpus, query, k_retrieve, k_context, budget,
                       max_ref_tokens, max_answer_tokens, rebuild_context) -> RagResult:
-    """The dense RAG loop: argmax of ``next_logprobs(context)[allowed]``, then a trace parse."""
+    """The dense RAG loop: argmax of ``next_logprobs(context)[allowed]``, then a trace parse
+    and the span scores of :func:`oracle_span_scores`."""
     vocab_size = lm.vocab.size
     excl = ExclusionSet(trie)
     cost = DecodeCost()
-    trace, docids, scores = [], [], []
+    trace, docids = [], []
     prompt = encode(lm.vocab, f"rag: {query}")
     context = Context(vocab_size)
 
@@ -234,25 +221,15 @@ def oracle_rag_decode(lm, trie, corpus, query, k_retrieve, k_context, budget,
         cost.context_tokens += len(tokens)
 
     def run(state, until):
-        span_logprob = 0.0
         while state.phase is not until:
             allowed = allowed_mask(state, trie, excl, vocab_size)
-            values = lm.next_logprobs(context)[allowed]
             if len(allowed) > 1:  # a one-token mask is not asked
                 cost.scorer_calls += 1
-            best = int(np.argmax(values))
-            token = int(allowed[best])
-            if state.phase is Phase.DOCID:
-                if token == DOCID_CLOSE:
-                    completed = trie.docid_at(trie.node_at(state.span.inner_prefix))
-                    excl.add(completed)
-                    docids.append(completed)
-                    scores.append(span_logprob)
-                    span_logprob = 0.0
-                else:
-                    peak = float(values.max())
-                    logsumexp = peak + float(np.log(np.exp(values - peak).sum()))
-                    span_logprob += float(values[best] - logsumexp)
+            token = int(allowed[int(np.argmax(lm.next_logprobs(context)[allowed]))])
+            if token == DOCID_CLOSE:
+                completed = trie.docid_at(trie.node_at(state.span.inner_prefix))
+                excl.add(completed)
+                docids.append(completed)
             if token != EOS or state.phase not in SILENT_STOP:
                 ingest([token])
                 trace.append(token)
@@ -271,7 +248,7 @@ def oracle_rag_decode(lm, trie, corpus, query, k_retrieve, k_context, budget,
     run(state, Phase.DONE)
     parsed = parse_rag_trace(trace)
     return RagResult(
-        docids=RankedDocIds(tuple(docids), tuple(scores)),
+        docids=RankedDocIds(tuple(docids), tuple(oracle_span_scores(lm, trie, prompt, trace))),
         context_docids=context_docids,
         references=tuple(decode(lm.vocab, span) for span in parsed.reference_spans),
         answer=decode(lm.vocab, parsed.answer_tokens),
@@ -305,14 +282,6 @@ def dense_vectors(monkeypatch):
 
     monkeypatch.setattr(NgramLm, "next_logprobs", counted)
     return calls
-
-
-class RecordingSession(decoder._Session):
-    made: list = []
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.made.append(self)
 
 
 def assert_same_decode(result: RagResult, expected: RagResult) -> None:
@@ -397,12 +366,7 @@ def test_rag_decodes_of_dense_scorers_equal_the_dense_loop(monkeypatch, dense_ve
 @pytest.fixture(scope="module")
 def bench_engine():
     """A 600-DocID benchmark corpus with 240-word bodies and an order-3 scorer on it."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-        corpusgen = importlib.import_module("corpusgen")
-    records, golds = corpusgen.generate(corpusgen.CorpusShape(600, 240, 4, 600, 300), seed=11)
-    corpus = build_corpus([make_document(r["id"], r["title"], r["section"], r["text"])
-                           for r in records])
+    corpus, golds = bench_corpus(600, 240, 4, 600, 300, seed=11)
     queries = [gold["input"] for gold in golds]
     answers = [gold["output"][0]["answer"] for gold in golds]
     vocab = build_vocabulary(corpus, list(decoder.TASK_PREFIXES) + queries + answers)
@@ -455,29 +419,6 @@ class GuardedLm:
 
     def next_logprobs(self, context):
         return self._ask(self._lm.next_logprobs, context)
-
-
-def oracle_span_scores(lm, trie, prompt, trace) -> list[float]:
-    """The score of each DocID span in ``trace``, from the dense vector at every span step."""
-    vocab_size = lm.vocab.size
-    excl = ExclusionSet(trie)
-    context, scores = list(prompt), []
-    state = GrammarState(Phase.LIST)
-    for token in trace:
-        if token == DOCID_OPEN:
-            span_logprob = 0.0
-        elif token == DOCID_CLOSE:
-            excl.add(trie.docid_at(trie.node_at(state.span.inner_prefix)))
-            scores.append(span_logprob)
-        else:
-            allowed = allowed_mask(state, trie, excl, vocab_size)
-            values = lm.next_logprobs(context)[allowed]
-            peak = float(values.max())
-            logsumexp = peak + float(np.log(np.exp(values - peak).sum()))
-            span_logprob += float(values[int(allowed.searchsorted(token))] - logsumexp)
-        context.append(token)
-        state = step(state, token)
-    return scores
 
 
 def check_forced_steps(monkeypatch, lm, trie, corpus, query, k, limits) -> int:

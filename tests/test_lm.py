@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import os
@@ -7,16 +6,14 @@ import subprocess
 import sys
 import threading
 import time
-import traceback
 import tracemalloc
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from docidlm import lm as lm_module
-from docidlm.corpus import build_corpus, make_document
 from docidlm.lm import (
     LOG_FLOOR,
     Context,
@@ -29,6 +26,8 @@ from docidlm.lm import (
     train_ngram,
 )
 from docidlm.tokens import build_vocabulary, encode
+
+from conftest import bench_corpus, context_vector
 
 
 def small_vocab(n_extra):
@@ -390,12 +389,7 @@ class TestSortingFitMatchesOracle:
 
 def corpusgen_texts(*shape):
     """Vocabulary and body token texts of a benchmark corpus of ``CorpusShape(*shape)``."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-        corpusgen = importlib.import_module("corpusgen")
-    records, golds = corpusgen.generate(corpusgen.CorpusShape(*shape), seed=5)
-    corpus = build_corpus([make_document(r["id"], r["title"], r["section"], r["text"])
-                           for r in records])
+    corpus, golds = bench_corpus(*shape, seed=5)
     vocab = build_vocabulary(corpus, [gold["input"] for gold in golds])
     return vocab, [encode(vocab, doc.body) for doc in corpus.documents.values()]
 
@@ -635,112 +629,11 @@ class TestRemote:
         with pytest.raises(ValueError):
             RemoteLm(small_vocab(0), endpoint)
 
-
-def _context_vector(context, vocab_size=7):
-    """A reply that depends on the context, so it can be matched to its request."""
-    return [-(i + 1) / (1 + sum(context)) for i in range(vocab_size)]
-
-
-class _KeepAliveHandler(BaseHTTPRequestHandler):
-    """HTTP/1.1 scorer that counts connections and requests.
-
-    ``server.mode``: "serve" keeps every connection open; "idle-close"
-    closes the socket after each reply without saying so, as a server does
-    when a kept-alive connection idles out; "drop" answers the first request
-    and drops every later one without a reply; "slow" answers the first
-    request at once and every later one after a second, then closes, since
-    by then the client has given up; "drip" sends the head at once and the
-    body a byte every 50 ms, so each receive is quick but the reply is not;
-    "drip-head" sends the head that way too.
-    """
-
-    protocol_version = "HTTP/1.1"
-    # headers and body go out in two writes; Nagle would hold the body back
-    # until the client's delayed acknowledgement of the headers
-    disable_nagle_algorithm = True
-
-    def setup(self):
-        super().setup()
-        with self.server.lock:
-            self.server.connections += 1
-
-    def do_POST(self):
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        context = json.loads(body)["context"]
-        with self.server.lock:
-            self.server.bodies.append(body)
-            self.server.requests += 1
-            first = self.server.requests == 1
-        if self.server.mode == "drop" and not first:
-            self.close_connection = True
-            return
-        slow = self.server.mode == "slow" and not first
-        if slow:
-            time.sleep(1.0)
-        drip = self.server.mode in ("drip", "drip-head")
-        data = json.dumps({"logprobs": _context_vector(context)}).encode()
-        try:
-            if self.server.mode == "drip-head":
-                self._drip(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-                           b"Content-Length: %d\r\n\r\n" % len(data) + data)
-            else:
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                if drip:
-                    self._drip(data)
-                else:
-                    self.wfile.write(data)
-        except (BrokenPipeError, ConnectionResetError):
-            if not (slow or drip):
-                raise
-        if self.server.mode == "idle-close" or slow or drip:
-            self.close_connection = True
-
-    def _drip(self, data):
-        for i in range(len(data)):
-            time.sleep(0.05)
-            self.wfile.write(data[i : i + 1])
-
-    def log_message(self, *args):
-        pass
-
-
-class _KeepAliveServer(ThreadingHTTPServer):
-    """Closing waits for the handler threads; their errors are kept in ``errors``."""
-
-    daemon_threads = False
-
-    def __init__(self, mode):
-        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
-        self.mode, self.connections, self.requests, self.bodies = mode, 0, 0, []
-        self.lock = threading.Lock()
-        self.errors = []
-
-    def handle_error(self, request, client_address):
-        self.errors.append(traceback.format_exc())
-
-
-@pytest.fixture
-def keepalive_server():
-    """Start HTTP/1.1 servers by mode; yields a function returning (server, endpoint)."""
-    started = []
-
-    def start(mode="serve"):
-        server = _KeepAliveServer(mode)
-        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-        thread.start()
-        started.append((server, thread))
-        return server, f"http://127.0.0.1:{server.server_port}/score"
-
-    yield start
-    for server, thread in started:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert server.errors == []
+    @pytest.mark.parametrize("timeout", [0, -1, math.nan, math.inf])
+    def test_timeout_not_finite_and_positive_rejected_on_construction(self, timeout):
+        with pytest.raises(ValueError, match=f"^remote scorer timeout must be finite and > 0 "
+                                             f"seconds, not {timeout!r}$"):
+            RemoteLm(small_vocab(0), "http://127.0.0.1:1/", timeout=timeout)
 
 
 def _assert_fails_within_half_a_second(endpoint):
@@ -761,7 +654,7 @@ class TestKeepAlive:
         lm = RemoteLm(small_vocab(0), endpoint, timeout=2.0)
         try:
             for i in range(20):
-                assert lm.next_logprobs([i % 7]).tolist() == _context_vector([i % 7])
+                assert lm.next_logprobs([i % 7]).tolist() == context_vector([i % 7])
         finally:
             lm.close()
         assert (server.connections, server.requests) == (1, 20)
@@ -778,14 +671,14 @@ class TestKeepAlive:
         assert server.bodies == [b'{"context": [0, 6, 3]}'] * 3
         assert from_array.tobytes() == from_list.tobytes()
         assert from_context.tobytes() == from_list.tobytes()
-        assert from_list.tolist() == _context_vector([0, 6, 3])
+        assert from_list.tolist() == context_vector([0, 6, 3])
 
     def test_stale_socket_is_retried_once(self, keepalive_server):
         server, endpoint = keepalive_server("idle-close")
         lm = RemoteLm(small_vocab(0), endpoint, timeout=2.0)
         try:
             for i in range(5):
-                assert lm.next_logprobs([i]).tolist() == _context_vector([i])
+                assert lm.next_logprobs([i]).tolist() == context_vector([i])
         finally:
             lm.close()
         # every call after the first found its kept socket closed and reconnected once
@@ -841,7 +734,7 @@ class TestKeepAlive:
         def work(offset):
             for i in range(40):
                 context = [offset, i % 7]
-                if lm.next_logprobs(context).tolist() != _context_vector(context):
+                if lm.next_logprobs(context).tolist() != context_vector(context):
                     wrong.append(context)
 
         interval = sys.getswitchinterval()
@@ -863,9 +756,9 @@ class TestKeepAlive:
         server, endpoint = keepalive_server()
         lm = RemoteLm(small_vocab(0), endpoint, timeout=2.0)
         try:
-            assert lm.next_logprobs([1]).tolist() == _context_vector([1])
+            assert lm.next_logprobs([1]).tolist() == context_vector([1])
             lm.close()
-            assert lm.next_logprobs([2]).tolist() == _context_vector([2])
+            assert lm.next_logprobs([2]).tolist() == context_vector([2])
         finally:
             lm.close()
             lm.close()

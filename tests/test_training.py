@@ -1,11 +1,9 @@
-import importlib
 import logging
 import math
 import random
 import sys
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -37,8 +35,8 @@ from docidlm.training import (
     stopwords,
 )
 
-from conftest import (_WORD_POOL, _SECTION_POOL, _TITLE_POOL, corpus_from_rows, random_corpus,
-                      random_text, random_text_corpus)
+from conftest import (_WORD_POOL, _SECTION_POOL, _TITLE_POOL, bench_corpus, corpus_from_rows,
+                      random_corpus, random_text, random_text_corpus)
 from test_cli import DEMO_DATA, GOLDEN, read_jsonl_records
 from test_decoder import tiny_vocab_of_size
 
@@ -641,11 +639,7 @@ def test_bm25_memory_per_posting():
     # per-term offsets and per-document norms; transient: above the word
     # array, the int64 sort keys and what the runs need, about 10 bytes per
     # word (the per-posting Python lists of the dict build took 17-21)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-        corpusgen = importlib.import_module("corpusgen")
-    records, _ = corpusgen.generate(corpusgen.CorpusShape(2000, 40, 4, 2000, 2000), seed=5)
-    corpus = corpus_from_rows([(r["id"], r["title"], r["section"], r["text"]) for r in records])
+    corpus, _ = bench_corpus(2000, 40, 4, 2000, 2000, seed=5)
     words = len(corpus.words.ids)
     tracemalloc.start()
     try:

@@ -1,16 +1,14 @@
-import importlib
 import json
 import random
 import re
 import tracemalloc
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from docidlm.cli import main
-from docidlm.corpus import UnknownDocIdError, build_corpus, ingest_corpus, make_document
+from docidlm.corpus import UnknownDocIdError, ingest_corpus
 from docidlm.tokens import build_vocabulary, encode, load_vocabulary
 from docidlm.trie import (
     DocIdTrie,
@@ -24,7 +22,7 @@ from docidlm.trie import (
     load_trie,
 )
 
-from conftest import corpus_from_rows, random_corpus
+from conftest import bench_corpus, corpus_from_rows, random_corpus
 
 
 def recursive_snapshot_lines(trie, prefix=()):
@@ -320,12 +318,7 @@ class TestArrayContinuationsMatchOracle:
 @pytest.fixture(scope="module")
 def corpusgen_corpus():
     """A 3,000-DocID benchmark corpus: sectioned titles, many sharing their first word."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-        corpusgen = importlib.import_module("corpusgen")
-    records, _ = corpusgen.generate(corpusgen.CorpusShape(3000, 4, 1, 200, 1200), seed=3)
-    return build_corpus([make_document(r["id"], r["title"], r["section"], r["text"])
-                         for r in records])
+    return bench_corpus(3000, 4, 1, 200, 1200, seed=3)[0]
 
 
 class TestAtBenchmarkScale:

@@ -27,6 +27,11 @@ from .lm import DEFAULT_ALPHA, DEFAULT_ORDER, LmScorer, RemoteLm
 from .tokens import Vocabulary, build_vocabulary, save_vocabulary
 from .trie import DocIdTrie, build_trie, dump_trie
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 logger = logging.getLogger(__name__)
 
 
@@ -123,10 +128,14 @@ def build_training_examples(
 
 @contextmanager
 def build_stage(name: str):
-    """Log at DEBUG how many seconds the enclosed build stage took."""
+    """Log at DEBUG how many seconds the enclosed build stage took, then the process's peak RSS."""
     start = perf_counter()
     yield
     logger.debug("build stage %s took %.3f s", name, perf_counter() - start)
+    if resource is not None:  # ru_maxrss counts bytes on macOS, KiB elsewhere
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        logger.debug("build stage %s: process peak RSS %.1f MB (ru_maxrss)", name,
+                     peak / (2**20 if sys.platform == "darwin" else 2**10))
 
 
 class Engine:

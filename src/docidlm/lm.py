@@ -12,6 +12,7 @@ vector as a row that lists every id.
 from __future__ import annotations
 
 import bisect
+import ctypes
 import functools
 import http.client
 import io
@@ -169,6 +170,54 @@ def _denominators(totals: np.ndarray, alpha: float, size: int) -> np.ndarray:
     return denoms
 
 
+_TEXTS = 1 << 12  # texts whose ids one step of the fit range-checks as int64
+
+
+def _token_array(texts: Sequence[Sequence[int]], total: int, size: int) -> np.ndarray:
+    """The ids of ``texts`` end to end as int32, each checked against ``size`` before it is narrowed."""
+    tokens = np.empty(total, dtype=np.int32)
+    end = 0
+    for lo in range(0, len(texts), _TEXTS):
+        # cast as np.asarray(text, dtype=np.int64) casts (an empty list reads as float64)
+        part = np.concatenate([np.empty(0, dtype=np.int64), *texts[lo : lo + _TEXTS]],
+                              dtype=np.int64, casting="unsafe")
+        bad = np.flatnonzero((part < 0) | (part >= size))
+        if len(bad):
+            raise ValueError(f"context token id {part[bad[0]]} outside vocabulary of size {size}")
+        tokens[end : end + len(part)] = part
+        end += len(part)
+    return tokens
+
+
+@functools.cache
+def _malloc_trim() -> Callable[[int], int] | None:
+    """The C library's ``malloc_trim`` (glibc), or None where it has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no C library to open
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _release_freed_memory() -> None:
+    """Give the pages of freed heap memory back to the system, where the C library can.
+
+    glibc serves a block below its mmap threshold from the heap, and raises
+    that threshold to the size of each mmapped block freed. So once the fit
+    frees its first large array, the later ones, and the tables it keeps,
+    come from the heap, and the pages the freed ones held stay resident.
+    ``malloc_trim(0)`` returns every free page of every heap to the system.
+    This acts on the whole process, not only on the fit's memory: it changes
+    no allocator setting, and live memory is untouched, but freed pages of
+    other code go back too, and their next use faults them in again. Where
+    the C library has no ``malloc_trim``, this does nothing.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 class NgramLm:
     """Add-alpha smoothed n-gram model with longest-match backoff.
 
@@ -211,15 +260,21 @@ class NgramLm:
 
         Each context length sorts its packed context keys once and its packed
         (group, next token) pairs once, in place; no Python code runs per n-gram.
+        The memory its temporaries took goes back to the system at each length
+        boundary and on return (see _release_freed_memory), so the process
+        keeps only the tables resident.
         """
+        tables = self._count(texts)
+        _release_freed_memory()  # the last length's temporaries
+        self._tables = tables
+        self._views = [(*map(memoryview, table[:3]), *table[3:]) for table in tables]
+        return self
+
+    def _count(self, texts: Sequence[Sequence[int]]) -> list[tuple]:
+        """The tables of a fit on ``texts``; none when the texts hold no token."""
         size = self.vocab.size
         lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-        tokens = np.concatenate([np.empty(0, dtype=np.int64)]
-                                + [np.asarray(text, dtype=np.int64) for text in texts])
-        bad = np.flatnonzero((tokens < 0) | (tokens >= size))
-        if len(bad):
-            raise ValueError(f"context token id {tokens[bad[0]]} outside vocabulary of size {size}")
-        tokens = tokens.astype(np.int32)
+        tokens = _token_array(texts, int(lengths.sum()), size)
         text_starts = np.cumsum(lengths) - lengths
         # whether a position has c tokens of history in its text
         has_history = np.ones(len(tokens), dtype=bool)
@@ -227,15 +282,17 @@ class NgramLm:
         tables = []
         for c in range(self.order):
             if c:
+                _release_freed_memory()  # the previous length's temporaries
                 had_history = has_history.copy()
                 has_history[text_starts[lengths >= c] + (c - 1)] = False
-                keys = group[has_history[had_history]] * size
-                keys += tokens[: len(tokens) - c][has_history[c:]]
+                keys = group[has_history[had_history]]
                 del group, had_history
+                keys *= size
+                keys += tokens[: len(tokens) - c][has_history[c:]]
             order = keys.argsort()
             keys = keys[order]
             new_group = np.ones(len(keys), dtype=bool)
-            new_group[1:] = keys[1:] != keys[:-1]
+            np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
             keys = keys[new_group]
             # each sorted position's group id, then its (group, next token) pair;
             # a run of equal pairs is one n-gram
@@ -250,11 +307,11 @@ class NgramLm:
             pairs += tokens[has_history][order]
             del order
             pairs.sort()
-            new_run = np.ones(len(pairs), dtype=bool)
-            new_run[1:] = pairs[1:] != pairs[:-1]
-            pairs = pairs[new_run]
-            counts = np.diff(np.append(np.flatnonzero(new_run), len(new_run)))
-            del new_run
+            run_ends = np.ones(len(pairs) + 1, dtype=bool)  # a run's first pair, and the end
+            np.not_equal(pairs[1:], pairs[:-1], out=run_ends[1:-1])
+            pairs = pairs[run_ends[:-1]]
+            counts = np.diff(np.flatnonzero(run_ends))
+            del run_ends
             starts = pairs.searchsorted(np.arange(len(keys) + 1) * size)
             denoms = _denominators(np.add.reduceat(counts, starts[:-1]), self.alpha, size)
             values = counts + self.alpha
@@ -269,12 +326,11 @@ class NgramLm:
                 tokens_with_group, keys = keys, np.full(size, -1, dtype=np.int32)
                 keys[tokens_with_group] = np.arange(len(tokens_with_group), dtype=np.int32)
             pairs.flags.writeable = values.flags.writeable = False  # rows hand out views of them
-            # clamping before the fill equals clamping the filled vector
-            tables.append((keys, starts, np.maximum(math.log(self.alpha) - denoms, LOG_FLOOR),
-                           pairs, values))
-        self._tables = tables if len(tokens) else []
-        self._views = [(*map(memoryview, table[:3]), *table[3:]) for table in self._tables]
-        return self
+            # each group's fill; clamping before the fill equals clamping the filled vector
+            fills = np.subtract(math.log(self.alpha), denoms, out=denoms)
+            np.maximum(fills, LOG_FLOOR, out=fills)
+            tables.append((keys, starts, fills, pairs, values))
+        return tables if len(tokens) else []
 
     def next_row(self, context: Sequence[int]) -> Row:
         """The backoff value and the explicit entries of the longest seen suffix of ``context``.

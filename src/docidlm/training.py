@@ -206,8 +206,9 @@ def construct_ranked_docid_list(
     merged = list(labeled)[:k]
     if len(merged) < k:
         seen = set(merged)
-        candidates = [d for d, _ in bm25_retrieve(index, query, DEFAULT_RERANK_CANDIDATES)]
-        for doc_id in reranker.rerank(query, candidates):
+        terms = index.corpus.words.query_terms(query)  # split once, read by both rankers
+        candidates = [d for d, _ in bm25_retrieve(index, terms, DEFAULT_RERANK_CANDIDATES)]
+        for doc_id in reranker.rerank(terms, candidates):
             if doc_id not in seen:
                 merged.append(doc_id)
                 seen.add(doc_id)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from docidlm import cli
 from docidlm.cli import COMMANDS, RunConfig, build_parser, engine_vocabulary, main
 from docidlm.corpus import ingest_corpus, json_records, load_gold
 from docidlm.tokens import load_vocabulary
@@ -292,6 +293,22 @@ def test_debug_log_times_every_build_stage(workdir, monkeypatch, caplog):
         timed = [re.fullmatch(r"build stage (\w+) took \d+\.\d{3} s", r.getMessage())
                  for r in caplog.records if r.name == "docidlm.cli" and r.levelno == logging.DEBUG]
         assert [m.group(1) for m in timed if m] == stages, argv
+
+
+@pytest.mark.skipif(cli.resource is None, reason="the platform reports no ru_maxrss")
+def test_debug_log_reports_peak_memory_after_every_build_stage(workdir, monkeypatch, caplog):
+    monkeypatch.setenv("CORPUSLM_LOG", "DEBUG")
+    caplog.set_level(logging.DEBUG, logger="docidlm")
+    argv = ["retrieve", "--corpus", workdir / "corpus.jsonl", "--gold", workdir / "gold.jsonl"]
+    assert run(argv + ["--out", workdir / "out"]) == 0
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "docidlm.cli" and r.levelno == logging.DEBUG]
+    stages = ["vocab", "bm25", "examples", "ngram_fit", "trie"]
+    assert [re.sub(r"\d+\.\d+", "N", m) for m in messages] == [
+        line for stage in stages for line in (f"build stage {stage} took N s",
+                                              f"build stage {stage}: process peak RSS N MB (ru_maxrss)")]
+    peaks = [float(m.split()[-3]) for m in messages[1::2]]
+    assert 0 < peaks[0] and peaks == sorted(peaks)
 
 
 @pytest.mark.parametrize("argv", [

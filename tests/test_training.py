@@ -277,6 +277,26 @@ class TestMergeRule:
                                              index, reranker, k=2)
         assert merged == ["D2 #", "D1 #"]
 
+    def test_query_is_split_once_for_both_rankers(self, monkeypatch):
+        corpus = self.corpus()
+        index = build_bm25_index(corpus)
+        splits, offered = [], []
+
+        class RecordingReranker(LexicalOverlapReranker):
+            def rerank(self, query, candidates):
+                offered.append(query)
+                return super().rerank(query, candidates)
+
+        def counting_split(text):
+            splits.append(text)
+            return split_words(text)
+
+        monkeypatch.setattr(sys.modules["docidlm.corpus"], "split_words", counting_split)
+        merged = construct_ranked_docid_list("common beta", [], index, RecordingReranker(corpus), k=2)
+        assert merged == ["D2 #", "D1 #"]
+        assert splits == ["common beta"]
+        assert offered == [[corpus.words.term_id["common"], corpus.words.term_id["beta"]]]
+
     def test_unknown_labeled_docid_is_an_error(self):
         index = build_bm25_index(self.corpus())
         with pytest.raises(UnknownDocIdError):
